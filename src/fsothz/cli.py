@@ -23,7 +23,8 @@ from . import monte_carlo as mc
 from .errors import (ConfigError, DomainError, MeijerGUnsupportedError,
                      NumericalIntegrityError)
 from .figures import FIGURE_IDS, figure_jobs
-from .switching import HardPolicy, count_switch_events, evaluate_soft_trace
+from .switching import (HardPolicy, activation_threshold, count_switch_events,
+                        evaluate_soft_trace)
 
 LINKS = ("fso", "thz", "hybrid", "access", "e2e")
 METHODS = ("analytical", "asymptotic", "mc", "all")
@@ -66,20 +67,13 @@ def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
                 res = ma.outage_link(spec, link)
             elif command == "capacity":
                 if capacity_variant == "closed" and link in ("fso", "thz"):
-                    pol = spec.policy
-                    th = (pol.gamma_th if isinstance(pol, HardPolicy)
-                          else (pol.gamma_f_th_u if link == "fso"
-                                else pol.gamma_t_th))
                     fn = ma.capacity_fso if link == "fso" else ma.capacity_thz
-                    res = fn(th, spec, closed_form_only=True)
+                    res = fn(activation_threshold(spec.policy, link), spec,
+                             closed_form_only=True)
                 elif capacity_variant == "integral" and link in ("fso", "thz"):
-                    pol = spec.policy
-                    th = (pol.gamma_th if isinstance(pol, HardPolicy)
-                          else (pol.gamma_f_th_u if link == "fso"
-                                else pol.gamma_t_th))
                     fn = (ma.capacity_fso_integral if link == "fso"
                           else ma.capacity_thz_integral)
-                    res = fn(th, spec)
+                    res = fn(activation_threshold(spec.policy, link), spec)
                 else:
                     res = ma.capacity_link(spec, link)
             else:

@@ -15,7 +15,7 @@ from scipy import integrate
 
 from . import channel_access, channel_fso, channel_thz, specfun
 from .errors import DomainError
-from .switching import (HardPolicy, SoftPolicy, SwitchPolicy,
+from .switching import (HardPolicy, SwitchPolicy, activation_threshold,
                         hard_combined_outage, soft_combined_outage,
                         soft_fso_off_probability)
 
@@ -28,8 +28,6 @@ __all__ = [
     "outage_access",
     "outage_hybrid",
     "outage_e2e",
-    "outage_e2e_hard",
-    "outage_e2e_soft",
     "outage_link",
     "capacity_link",
     "aber_link",
@@ -221,8 +219,7 @@ def outage_link(spec: SystemSpec, link: str) -> KernelValue:
         return _merge(soft_fso_off_probability(
             fl.value, fu.value - fl.value, 1.0 - fu.value), fu, fl)
     if link == "thz":
-        th = pol.gamma_th if isinstance(pol, HardPolicy) else pol.gamma_t_th
-        return outage_thz(spec, th)
+        return outage_thz(spec, activation_threshold(pol, link))
     if link == "access":
         return outage_access(spec)
     if link == "hybrid":
@@ -234,13 +231,10 @@ def outage_link(spec: SystemSpec, link: str) -> KernelValue:
 
 def capacity_link(spec: SystemSpec, link: str) -> KernelValue:
     """Per-link ergodic capacity at the policy's activation threshold."""
-    pol = spec.policy
     if link == "fso":
-        th = pol.gamma_th if isinstance(pol, HardPolicy) else pol.gamma_f_th_u
-        return capacity_fso(th, spec)
+        return capacity_fso(activation_threshold(spec.policy, link), spec)
     if link == "thz":
-        th = pol.gamma_th if isinstance(pol, HardPolicy) else pol.gamma_t_th
-        return capacity_thz(th, spec)
+        return capacity_thz(activation_threshold(spec.policy, link), spec)
     if link == "access":
         return capacity_access(spec.gamma_r_th, spec)
     if link == "hybrid":
@@ -252,13 +246,10 @@ def capacity_link(spec: SystemSpec, link: str) -> KernelValue:
 
 def aber_link(spec: SystemSpec, mod: "Modulation", link: str) -> KernelValue:
     """Per-link ABER at the policy's activation threshold."""
-    pol = spec.policy
     if link == "fso":
-        th = pol.gamma_th if isinstance(pol, HardPolicy) else pol.gamma_f_th_u
-        return aber_fso(th, spec, mod)
+        return aber_fso(activation_threshold(spec.policy, link), spec, mod)
     if link == "thz":
-        th = pol.gamma_th if isinstance(pol, HardPolicy) else pol.gamma_t_th
-        return aber_thz(th, spec, mod)
+        return aber_thz(activation_threshold(spec.policy, link), spec, mod)
     if link == "access":
         return aber_access(spec.gamma_r_th, spec, mod)
     if link == "hybrid":
@@ -266,18 +257,6 @@ def aber_link(spec: SystemSpec, mod: "Modulation", link: str) -> KernelValue:
     if link == "e2e":
         return aber_e2e(spec, mod)
     raise DomainError(f"unknown link {link!r}")
-
-
-def outage_e2e_hard(spec: SystemSpec) -> KernelValue:
-    if not isinstance(spec.policy, HardPolicy):
-        raise DomainError("outage_e2e_hard requires a hard policy")
-    return outage_e2e(spec)
-
-
-def outage_e2e_soft(spec: SystemSpec) -> KernelValue:
-    if not isinstance(spec.policy, SoftPolicy):
-        raise DomainError("outage_e2e_soft requires a soft policy")
-    return outage_e2e(spec)
 
 
 def outage_e2e(spec: SystemSpec) -> KernelValue:
@@ -635,44 +614,20 @@ def _quad_capacity_access(lo: float, hi: float, spec: SystemSpec) -> float:
     return val
 
 
-def _capacity_access_lower(gamma_r_th: float, spec: SystemSpec) -> KernelValue:
-    access = spec.access
-    k = access.shape
-    x = access.rate(spec.transmit_snr_db) * gamma_r_th
-    if x > ERFC_SERIES_MAX_ARG:
-        return KernelValue(_quad_capacity_access(0.0, gamma_r_th, spec),
-                           frozenset({FLAG_TAIL_QUADRATURE}))
-    total = 0.0
-    flags = set()
-    term_pref = 1.0
-    for j in range(specfun.SERIES_MAX_TERMS):
-        eta = k + j
-        g = specfun.meijer_g(specfun.MeijerGSpec(
-            a_front=(1.0 - eta, 1.0, 1.0), a_back=(),
-            b_front=(1.0,), b_back=(0.0, -eta), z=gamma_r_th))
-        term = term_pref * x ** k * g.value
-        total += term
-        flags |= g.flags
-        if abs(term) < specfun.SERIES_REL_TOL * abs(total):
-            break
-        term_pref *= -x / (j + 1.0)
-    else:
-        flags.add(specfun.FLAG_TRUNCATION_CAP)
-    return KernelValue(total / (math.log(2.0) * math.gamma(k)), frozenset(flags))
-
-
 def capacity_access(gamma_r_th: float, spec: SystemSpec) -> KernelValue:
-    """Ergodic capacity of the mmWave access link above ``gamma_r_th``."""
+    """Ergodic capacity of the mmWave access link above ``gamma_r_th``.
+
+    The part below the threshold is integrated numerically: its alternating
+    series in rate * gamma_r_th cancels catastrophically from about 10 on
+    and is slower than quadrature everywhere.
+    """
     if gamma_r_th < 0:
         raise DomainError("gamma_r_th must be >= 0")
     upper = _capacity_access_upper(spec)
     if gamma_r_th == 0.0:
         return upper
-    lower = _capacity_access_lower(gamma_r_th, spec)
-    if lower.flags & {specfun.FLAG_TRUNCATION_CAP}:
-        lower = KernelValue(_quad_capacity_access(0.0, gamma_r_th, spec),
-                            lower.flags | {FLAG_TAIL_QUADRATURE})
-    return _merge(max(upper.value - lower.value, 0.0), upper, lower)
+    lower = _quad_capacity_access(0.0, gamma_r_th, spec)
+    return KernelValue(max(upper.value - lower, 0.0), upper.flags)
 
 
 def capacity_fso_integral(gamma_th: float, spec: SystemSpec) -> KernelValue:

@@ -7,16 +7,23 @@ single-variate aggregation approximations they build on.  Estimates are computed
 with one RNG substream per block and combined in block order, which makes
 them bit-identical for a given (seed, partitioning) regardless of execution
 order or parallelism.
+
+Substream layout: block ``i`` of ``BLOCK_SIZE`` slots draws from
+``RngStream(seed, i)`` the FSO, then the THz, then the access SNRs, each
+only if the requested link needs it.  Soft policies on the hybrid and e2e
+links (and on the FSO link for outage) instead run the hysteresis trace over
+``TRACE_BURN_IN`` + n slots, carry its memory bit across blocks, and discard
+the first ``TRACE_BURN_IN`` slots; the e2e access SNRs of trace block ``i``
+come from ``RngStream(seed, 1_000_000 + i)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy import signal
 from scipy import special as sp
 
 from .channel_access import AccessLinkSpec
@@ -24,8 +31,8 @@ from .channel_fso import FsoLinkSpec, PointingGeometry
 from .channel_thz import ThzLinkSpec
 from .errors import DomainError
 from .metrics_analytic import Modulation, SystemSpec, _xi_factor
-from .switching import (HardPolicy, SoftPolicy, evaluate_soft_trace,
-                        SwitchState)
+from .switching import (HardPolicy, SoftPolicy, SwitchState,
+                        activation_threshold, evaluate_soft_trace)
 
 __all__ = [
     "RngStream",
@@ -38,7 +45,6 @@ __all__ = [
     "estimate_capacity",
     "estimate_aber",
     "sample_trace_snrs",
-    "run_trace",
 ]
 
 MIN_SAMPLES = 10_000
@@ -102,11 +108,13 @@ def _mean_estimate(total: float, total_sq: float, n: int) -> EstimateResult:
                           mean + 1.959963984540054 * stderr)
 
 
-def _check_n(n: int) -> None:
+def _check_args(n: int, link: str) -> None:
     if n < MIN_SAMPLES:
         raise DomainError(
             f"sample count {n} too small for a meaningful estimate; "
             f"need at least {MIN_SAMPLES}")
+    if link not in LINKS:
+        raise DomainError(f"unknown link {link!r}")
 
 
 def _pointing_gain(pg: PointingGeometry, rng: np.random.Generator,
@@ -149,34 +157,11 @@ def sample_access_snr(spec: AccessLinkSpec, transmit_snr_db: float,
     return p * spec.p_l * total
 
 
-def _soft_policy(spec: SystemSpec) -> SoftPolicy:
-    pol = spec.policy
-    return pol.as_soft() if isinstance(pol, HardPolicy) else pol
-
-
-def _conditional_error(gamma: np.ndarray, mod: Modulation,
-                       snr_factor: float = 1.0) -> np.ndarray:
+def _conditional_error(gamma: np.ndarray, mod: Modulation) -> np.ndarray:
     err = np.zeros_like(gamma)
     for b in mod.b_list:
-        err += sp.erfc(np.sqrt(b * snr_factor * gamma))
+        err += sp.erfc(np.sqrt(b * gamma))
     return mod.a * err
-
-
-@dataclass
-class _Tally:
-    n: int = 0
-    events: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-
-    def add_events(self, events: int, n: int) -> None:
-        self.events += events
-        self.n += n
-
-    def add_values(self, values: np.ndarray) -> None:
-        self.n += values.size
-        self.total += float(np.sum(values))
-        self.total_sq += float(np.sum(values * values))
 
 
 def _iter_blocks(n: int):
@@ -187,27 +172,6 @@ def _iter_blocks(n: int):
         yield index, size
         start += size
         index += 1
-
-
-def _trace_blocks(spec: SystemSpec, n: int, seed: int, rho: float = 0.0):
-    """Yield (gamma_f, gamma_t, states) chunks of a sequential soft trace."""
-    policy = _soft_policy(spec)
-    chunks = _snr_chunk_iter(spec, n, rho, RngStream(seed))
-    state = SwitchState()
-    for gf, gt in chunks:
-        states = evaluate_soft_trace(gf, gt, policy, initial=state)
-        # carry hysteresis memory across the chunk boundary
-        up = gf >= policy.gamma_f_th_u
-        down = gf < policy.gamma_f_th_l
-        cross = np.where(up)[0], np.where(down)[0]
-        last_up = cross[0][-1] if cross[0].size else -1
-        last_down = cross[1][-1] if cross[1].size else -1
-        if last_up < 0 and last_down < 0:
-            below = state.fso_was_below_lower
-        else:
-            below = last_down > last_up
-        state = SwitchState(fso_was_below_lower=below)
-        yield gf, gt, states
 
 
 def _snr_chunk_iter(spec: SystemSpec, n: int, rho: float, stream: RngStream):
@@ -223,6 +187,9 @@ def _snr_chunk_iter(spec: SystemSpec, n: int, rho: float, stream: RngStream):
         raise DomainError(f"correlation rho must lie in [0, 1), got {rho}")
     # Gaussian-copula AR(1): one standard-normal driver per random factor,
     # inverse-CDF to the target marginal, single sequential RNG.
+    # scipy.signal is imported here because it adds about 24 MB of resident
+    # memory to every process, and only correlated traces need it.
+    from scipy import signal
     rng = stream.generator()
     n_drivers = 3 + spec.thz.n_rx + 1
     z_prev = rng.standard_normal(n_drivers)
@@ -253,11 +220,54 @@ def _snr_chunk_iter(spec: SystemSpec, n: int, rho: float, stream: RngStream):
         yield gf, gt
 
 
-def _policy_thresholds(spec: SystemSpec):
-    pol = spec.policy
-    if isinstance(pol, HardPolicy):
-        return pol.gamma_th, pol.gamma_th, pol.gamma_th
-    return pol.gamma_f_th_u, pol.gamma_f_th_l, pol.gamma_t_th
+def _slot_blocks(spec: SystemSpec, n: int, seed: int, link: str,
+                 fso_hysteresis: bool = False):
+    """Yield (gamma_F, gamma_T, gamma_R, states) per block for ``link``.
+
+    Only the SNRs ``link`` needs are drawn; the others are None.  ``states``
+    codes the side serving each slot (0 = FSO, 1 = THz, 2 = none) and is
+    None for the access link alone.  Soft policies on the hybrid and e2e
+    links, and on the FSO link when ``fso_hysteresis`` is set, run the
+    hysteresis trace; everything else is memoryless, with hard hybrid
+    states taken from the trace of the coincident-threshold soft policy.
+    """
+    policy = spec.policy
+    soft = policy.as_soft() if isinstance(policy, HardPolicy) else policy
+    snr_db = spec.transmit_snr_db
+    if isinstance(policy, SoftPolicy) and (
+            link in ("hybrid", "e2e") or (link == "fso" and fso_hysteresis)):
+        memory = SwitchState()
+        chunks = _snr_chunk_iter(spec, n + TRACE_BURN_IN, 0.0, RngStream(seed))
+        for index, (gf, gt) in enumerate(chunks):
+            states = evaluate_soft_trace(gf, gt, soft, initial=memory)
+            # FSO serves a slot exactly when the memory bit after it is clear
+            memory = SwitchState(fso_was_below_lower=bool(states[-1] != 0))
+            gr = None
+            if link == "e2e":
+                rng = RngStream(seed, 1_000_000 + index).generator()
+                gr = sample_access_snr(spec.access, snr_db, rng, states.size)
+            if index == 0:
+                # BLOCK_SIZE exceeds the burn-in, so only block 0 is trimmed
+                gf, gt, states = (a[TRACE_BURN_IN:] for a in (gf, gt, states))
+                gr = None if gr is None else gr[TRACE_BURN_IN:]
+            yield gf, gt, gr, states
+        return
+    for index, size in _iter_blocks(n):
+        rng = RngStream(seed, index).generator()
+        gf = gt = gr = states = None
+        if link in ("fso", "hybrid", "e2e"):
+            gf = sample_fso_snr(spec.fso, snr_db, rng, size)
+        if link in ("thz", "hybrid", "e2e"):
+            gt = sample_thz_snr(spec.thz, snr_db, rng, size)
+        if link in ("access", "e2e"):
+            gr = sample_access_snr(spec.access, snr_db, rng, size)
+        if link == "fso":
+            states = np.where(gf >= activation_threshold(policy, "fso"), 0, 2)
+        elif link == "thz":
+            states = np.where(gt >= activation_threshold(policy, "thz"), 1, 2)
+        elif link != "access":
+            states = evaluate_soft_trace(gf, gt, soft)
+        yield gf, gt, gr, states
 
 
 def estimate_outage(spec: SystemSpec, n: int, seed: int,
@@ -266,69 +276,44 @@ def estimate_outage(spec: SystemSpec, n: int, seed: int,
 
     Hard policies count per-draw threshold events; soft policies run the
     sequential hysteresis trace and use its steady-state fractions after a
-    1000-slot burn-in.
+    1000-slot burn-in.  Under soft switching the FSO link is in outage
+    whenever the hysteresis keeps it off.
     """
-    _check_n(n)
-    if link not in LINKS:
-        raise DomainError(f"unknown link {link!r}")
-    g_u, g_l, g_t = _policy_thresholds(spec)
-    is_soft = isinstance(spec.policy, SoftPolicy)
-    tally = _Tally()
+    _check_args(n, link)
+    events = total = 0
+    for _, _, gr, states in _slot_blocks(spec, n, seed, link,
+                                         fso_hysteresis=True):
+        fail = False if gr is None else gr < spec.gamma_r_th
+        if states is not None:
+            fail = fail | (states != 0 if link == "fso" else states == 2)
+        events += int(np.count_nonzero(fail))
+        total += fail.size
+    return _wilson(events, total)
 
-    if link == "access":
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gr = sample_access_snr(spec.access, spec.transmit_snr_db, rng, size)
-            tally.add_events(int(np.count_nonzero(gr < spec.gamma_r_th)), size)
-        return _wilson(tally.events, tally.n)
 
-    if link == "thz":
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gt = sample_thz_snr(spec.thz, spec.transmit_snr_db, rng, size)
-            tally.add_events(int(np.count_nonzero(gt < g_t)), size)
-        return _wilson(tally.events, tally.n)
+def _served_sums(spec: SystemSpec, n: int, seed: int, link: str,
+                 f_fso, f_rf) -> tuple:
+    """Tally f(serving SNR) per slot of ``link``, 0 in outage.
 
-    if link == "fso" and not is_soft:
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gf = sample_fso_snr(spec.fso, spec.transmit_snr_db, rng, size)
-            tally.add_events(int(np.count_nonzero(gf < g_u)), size)
-        return _wilson(tally.events, tally.n)
-
-    if not is_soft:
-        # hard hybrid / e2e: memoryless joint events
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gf = sample_fso_snr(spec.fso, spec.transmit_snr_db, rng, size)
-            gt = sample_thz_snr(spec.thz, spec.transmit_snr_db, rng, size)
-            fail = (gf < g_u) & (gt < g_t)
-            if link == "e2e":
-                gr = sample_access_snr(spec.access, spec.transmit_snr_db, rng, size)
-                fail = fail | (gr < spec.gamma_r_th)
-            tally.add_events(int(np.count_nonzero(fail)), size)
-        return _wilson(tally.events, tally.n)
-
-    # soft: sequential trace, burn-in discarded
-    skip = TRACE_BURN_IN
-    for index, (gf, gt, states) in enumerate(
-            _trace_blocks(spec, n + TRACE_BURN_IN, seed)):
-        size = states.size
-        use = states[skip:] if skip else states
-        if use.size:
-            if link == "fso":
-                events = int(np.count_nonzero(use != 0))
-            else:
-                fail = use == 2
-                if link == "e2e":
-                    rng = RngStream(seed, 1_000_000 + index).generator()
-                    gr = sample_access_snr(spec.access, spec.transmit_snr_db,
-                                           rng, size)[skip:]
-                    fail = fail | (gr < spec.gamma_r_th)
-                events = int(np.count_nonzero(fail))
-            tally.add_events(events, use.size)
-        skip = max(skip - size, 0)
-    return _wilson(tally.events, tally.n)
+    Returns (sum, sum of squares, slots, transmitting slots).  ``f_fso``
+    maps FSO SNRs and ``f_rf`` maps THz and access SNRs.
+    """
+    total = total_sq = 0.0
+    count = sent = 0
+    for gf, gt, gr, states in _slot_blocks(spec, n, seed, link):
+        if states is None:
+            on = gr >= spec.gamma_r_th
+            vals = np.where(on, f_rf(gr), 0.0)
+        else:
+            on = states != 2
+            vals = 0.0 if gt is None else np.where(states == 1, f_rf(gt), 0.0)
+            if gf is not None:
+                vals = np.where(states == 0, f_fso(gf), vals)
+        count += vals.size
+        sent += int(np.count_nonzero(on))
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+    return total, total_sq, count, sent
 
 
 def estimate_capacity(spec: SystemSpec, n: int, seed: int,
@@ -339,148 +324,50 @@ def estimate_capacity(spec: SystemSpec, n: int, seed: int,
     slots and 0 in outage, averaged over all slots, so the hybrid estimate
     targets C^F + P_F C^T (hard) and its hysteresis generalization (soft).
     """
-    _check_n(n)
-    if link not in LINKS:
-        raise DomainError(f"unknown link {link!r}")
-    g_u, g_l, g_t = _policy_thresholds(spec)
-    xi = _xi_factor(spec.fso.detection_tau)
-    tally = _Tally()
-
-    if link == "access":
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gr = sample_access_snr(spec.access, spec.transmit_snr_db, rng, size)
-            vals = np.where(gr >= spec.gamma_r_th, np.log2(1.0 + gr), 0.0)
-            tally.add_values(vals)
-        return _mean_estimate(tally.total, tally.total_sq, tally.n)
-
-    if link == "fso":
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gf = sample_fso_snr(spec.fso, spec.transmit_snr_db, rng, size)
-            vals = np.where(gf >= g_u, np.log2(1.0 + xi * gf), 0.0)
-            tally.add_values(vals)
-        return _mean_estimate(tally.total, tally.total_sq, tally.n)
-
-    if link == "thz":
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gt = sample_thz_snr(spec.thz, spec.transmit_snr_db, rng, size)
-            vals = np.where(gt >= g_t, np.log2(1.0 + gt), 0.0)
-            tally.add_values(vals)
-        return _mean_estimate(tally.total, tally.total_sq, tally.n)
-
+    _check_args(n, link)
     if link == "e2e":
         hyb = estimate_capacity(spec, n, seed, "hybrid")
         acc = estimate_capacity(spec, n, seed, "access")
         return hyb if hyb.value <= acc.value else acc
-
-    if isinstance(spec.policy, HardPolicy):
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gf = sample_fso_snr(spec.fso, spec.transmit_snr_db, rng, size)
-            gt = sample_thz_snr(spec.thz, spec.transmit_snr_db, rng, size)
-            vals = np.where(gf >= g_u, np.log2(1.0 + xi * gf),
-                            np.where(gt >= g_t, np.log2(1.0 + gt), 0.0))
-            tally.add_values(vals)
-        return _mean_estimate(tally.total, tally.total_sq, tally.n)
-
-    skip = TRACE_BURN_IN
-    for gf, gt, states in _trace_blocks(spec, n + TRACE_BURN_IN, seed):
-        vals = np.where(states == 0, np.log2(1.0 + xi * gf),
-                        np.where(states == 1, np.log2(1.0 + gt), 0.0))
-        if skip:
-            vals = vals[skip:]
-        if vals.size:
-            tally.add_values(vals)
-        skip = max(skip - states.size, 0)
-    return _mean_estimate(tally.total, tally.total_sq, tally.n)
+    xi = _xi_factor(spec.fso.detection_tau)
+    total, total_sq, count, _ = _served_sums(
+        spec, n, seed, link, lambda g: np.log2(1.0 + xi * g),
+        lambda g: np.log2(1.0 + g))
+    return _mean_estimate(total, total_sq, count)
 
 
 def estimate_aber(spec: SystemSpec, mod: Modulation, n: int, seed: int,
                   link: str = "hybrid") -> EstimateResult:
     """Semi-analytical ABER: fading-averaged conditional error probability.
 
-    Hybrid estimates apply the non-outage conditioning of the closed form;
-    per-link estimates are the plain truncated averages.
+    Hybrid estimates apply the non-outage conditioning of the closed form:
+    the ratio of total error to transmitting slots, with its stderr by the
+    delta method.  With no transmitting slot the value is nan and the
+    interval is the whole range [0, A n0].  Per-link estimates are the plain
+    truncated averages.
     """
-    _check_n(n)
-    if link not in LINKS:
-        raise DomainError(f"unknown link {link!r}")
-    g_u, g_l, g_t = _policy_thresholds(spec)
-    tally = _Tally()
-    transmitted = 0
-
-    if link == "access":
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gr = sample_access_snr(spec.access, spec.transmit_snr_db, rng, size)
-            vals = np.where(gr >= spec.gamma_r_th,
-                            _conditional_error(gr, mod), 0.0)
-            tally.add_values(vals)
-        return _mean_estimate(tally.total, tally.total_sq, tally.n)
-
-    if link == "fso":
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gf = sample_fso_snr(spec.fso, spec.transmit_snr_db, rng, size)
-            vals = np.where(gf >= g_u, _conditional_error(gf, mod), 0.0)
-            tally.add_values(vals)
-        return _mean_estimate(tally.total, tally.total_sq, tally.n)
-
-    if link == "thz":
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gt = sample_thz_snr(spec.thz, spec.transmit_snr_db, rng, size)
-            vals = np.where(gt >= g_t, _conditional_error(gt, mod), 0.0)
-            tally.add_values(vals)
-        return _mean_estimate(tally.total, tally.total_sq, tally.n)
-
+    _check_args(n, link)
+    z = 1.959963984540054
     if link == "e2e":
         hyb = estimate_aber(spec, mod, n, seed, "hybrid")
         acc = estimate_aber(spec, mod, n, seed, "access")
         value = hyb.value + acc.value - 2.0 * hyb.value * acc.value
         stderr = math.hypot((1.0 - 2.0 * acc.value) * hyb.stderr,
                             (1.0 - 2.0 * hyb.value) * acc.stderr)
-        z = 1.959963984540054
         return EstimateResult(value, stderr, n, value - z * stderr,
                               value + z * stderr)
-
-    if isinstance(spec.policy, HardPolicy):
-        for index, size in _iter_blocks(n):
-            rng = RngStream(seed, index).generator()
-            gf = sample_fso_snr(spec.fso, spec.transmit_snr_db, rng, size)
-            gt = sample_thz_snr(spec.thz, spec.transmit_snr_db, rng, size)
-            fso_on = gf >= g_u
-            thz_on = ~fso_on & (gt >= g_t)
-            vals = np.where(fso_on, _conditional_error(gf, mod),
-                            np.where(thz_on, _conditional_error(gt, mod), 0.0))
-            transmitted += int(np.count_nonzero(fso_on | thz_on))
-            tally.add_values(vals)
-    else:
-        skip = TRACE_BURN_IN
-        for gf, gt, states in _trace_blocks(spec, n + TRACE_BURN_IN, seed):
-            vals = np.where(states == 0, _conditional_error(gf, mod),
-                            np.where(states == 1, _conditional_error(gt, mod),
-                                     0.0))
-            if skip:
-                vals = vals[skip:]
-                st = states[skip:]
-            else:
-                st = states
-            if vals.size:
-                transmitted += int(np.count_nonzero(st != 2))
-                tally.add_values(vals)
-            skip = max(skip - states.size, 0)
-    est = _mean_estimate(tally.total, tally.total_sq, tally.n)
-    if transmitted == 0:
-        return est
-    cond = 1.0 / (transmitted / tally.n)
-    z = 1.959963984540054
-    value = est.value * cond
-    stderr = est.stderr * cond
-    return EstimateResult(value, stderr, est.n_samples,
-                          value - z * stderr, value + z * stderr)
+    error = functools.partial(_conditional_error, mod=mod)
+    total, total_sq, count, sent = _served_sums(spec, n, seed, link,
+                                                error, error)
+    if link != "hybrid":
+        return _mean_estimate(total, total_sq, count)
+    if sent == 0:
+        return EstimateResult(math.nan, math.nan, count, 0.0,
+                              mod.a * mod.n0)
+    value = (total / count) * (1.0 / (sent / count))
+    stderr = math.sqrt(max(total_sq - total * total / sent, 0.0)) / sent
+    return EstimateResult(value, stderr, count, value - z * stderr,
+                          value + z * stderr)
 
 
 def sample_trace_snrs(spec: SystemSpec, n_slots: int, rho: float,
@@ -493,17 +380,3 @@ def sample_trace_snrs(spec: SystemSpec, n_slots: int, rho: float,
         gfs.append(gf)
         gts.append(gt)
     return np.concatenate(gfs), np.concatenate(gts)
-
-
-def run_trace(spec: SystemSpec, n_slots: int, rho: float, seed: int,
-              policy: Optional[SoftPolicy] = None) -> tuple:
-    """Sequential switching trace: (gamma_f, gamma_t, states int8 array).
-
-    States are coded 0 = FSO, 1 = THz, 2 = outage.  ``rho`` is the AR(1)
-    coefficient of the Gaussian-copula drivers; marginals are preserved
-    exactly for any rho.
-    """
-    gf, gt = sample_trace_snrs(spec, n_slots, rho, seed)
-    pol = policy if policy is not None else _soft_policy(spec)
-    states = evaluate_soft_trace(gf, gt, pol)
-    return gf, gt, states

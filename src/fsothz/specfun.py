@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy import special as sp
@@ -31,10 +30,8 @@ __all__ = [
     "MeijerGSpec",
     "ln_gamma",
     "upper_incomplete_gamma",
-    "lower_incomplete_gamma",
     "bessel_k",
     "erfc",
-    "erfc_maclaurin",
     "gauss_2f1",
     "igamma_reduction_log",
     "meijer_g",
@@ -79,22 +76,6 @@ def ln_gamma(x: float) -> float:
     if not x > 0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def lower_incomplete_gamma(a: float, x: float) -> float:
-    """gamma(a, x) = integral of t^(a-1) e^-t over [0, x], a > 0."""
-    if not a > 0:
-        raise DomainError(f"lower_incomplete_gamma requires a > 0, got a={a}")
-    if x < 0:
-        raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-    # Regularized P(a, x) underflows for a >> x; switch to the leading
-    # series term, which is then exact to double precision.
-    p = sp.gammainc(a, x)
-    if p > 0.0:
-        return float(p * math.exp(math.lgamma(a)))
-    return math.exp(a * math.log(x) - x - math.log(a))
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
@@ -222,33 +203,6 @@ def bessel_k(v: float, x: float) -> float:
 def erfc(x: float) -> float:
     """Complementary error function."""
     return math.erfc(x)
-
-
-def erfc_maclaurin(x: float,
-                   rel_tol: float = SERIES_REL_TOL,
-                   max_terms: int = SERIES_MAX_TERMS) -> KernelValue:
-    """erfc(sqrt(x)) by its Maclaurin expansion, x >= 0.
-
-    The alternating sum S = sum (-1)^j x^j / (j! (2j+1)) is accumulated in
-    exact rational arithmetic (floats are rationals), so the catastrophic
-    cancellation that kills the double-precision sum near x ~ 25 never
-    enters; only the final combination 1 - 2 sqrt(x/pi) S is floating point.
-    """
-    if x < 0:
-        raise DomainError(f"erfc_maclaurin requires x >= 0, got {x}")
-    xf = Fraction(x)
-    term = Fraction(1)
-    total = Fraction(1)  # j = 0 term of S: x^0/(0! * 1)
-    flags = set()
-    for j in range(1, max_terms + 1):
-        term *= -xf / j
-        total += term / (2 * j + 1)
-        if abs(term) / (2 * j + 1) < Fraction(rel_tol) * abs(total):
-            break
-    else:
-        flags.add(FLAG_TRUNCATION_CAP)
-    value = 1.0 - 2.0 / math.sqrt(math.pi) * math.sqrt(x) * float(total)
-    return KernelValue(value, frozenset(flags))
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float,

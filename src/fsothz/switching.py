@@ -20,6 +20,7 @@ __all__ = [
     "HardPolicy",
     "SoftPolicy",
     "SwitchPolicy",
+    "activation_threshold",
     "ActiveLink",
     "SwitchState",
     "SwitchCounts",
@@ -65,6 +66,19 @@ class SoftPolicy:
 
 
 SwitchPolicy = Union[HardPolicy, SoftPolicy]
+
+
+def activation_threshold(policy: SwitchPolicy, link: str) -> float:
+    """SNR at or above which ``link`` ("fso" or "thz") is switched on.
+
+    That is the single threshold of a hard policy, and for a soft policy the
+    upper FSO threshold or the THz threshold.
+    """
+    if link not in ("fso", "thz"):
+        raise DomainError(f"no activation threshold for link {link!r}")
+    if isinstance(policy, HardPolicy):
+        return policy.gamma_th
+    return policy.gamma_f_th_u if link == "fso" else policy.gamma_t_th
 
 
 class ActiveLink(enum.Enum):
@@ -173,22 +187,16 @@ def evaluate_soft_trace(gamma_f: np.ndarray, gamma_t: np.ndarray,
         raise DomainError("gamma_f and gamma_t must be equal-length 1-D arrays")
     up = gamma_f >= policy.gamma_f_th_u
     down = gamma_f < policy.gamma_f_th_l
-    # Memory bit before each slot: the direction of the last threshold
-    # crossing strictly before it (forward-fill of +-1 crossing marks).
-    cross = np.where(up, 1, np.where(down, -1, 0))
-    idx = np.arange(gamma_f.size)
-    filled = np.where(cross != 0, idx, -1)
-    np.maximum.accumulate(filled, out=filled)
-    last = np.where(filled >= 0, cross[np.maximum(filled, 0)],
-                    -1 if initial.fso_was_below_lower else 1)
-    mem_before = np.empty_like(last)
-    mem_before[0] = -1 if initial.fso_was_below_lower else 1
-    mem_before[1:] = last[:-1]
-
-    fso_on = up | (~down & (mem_before == 1))
-    thz_ok = gamma_t >= policy.gamma_t_th
-    states = np.where(fso_on, _FSO, np.where(thz_ok, _THZ, _OUT))
-    return states.astype(np.int8)
+    # FSO serves a slot exactly when the memory bit after it is clear, and
+    # that bit is set iff the last threshold crossing at or before the slot
+    # was downward.  ``last`` is 1 + the index of that crossing, 0 if none.
+    last = np.arange(1, gamma_f.size + 1) * (up | down)
+    np.maximum.accumulate(last, out=last)
+    below = down[last - 1]
+    below[:np.searchsorted(last, 1)] = initial.fso_was_below_lower
+    # the codes satisfy _THZ = _OUT - 1 and _FSO = 0
+    thz_or_out = np.subtract(_OUT, gamma_t >= policy.gamma_t_th, dtype=np.int8)
+    return thz_or_out * below
 
 
 def count_switch_events(trace: Sequence) -> SwitchCounts:

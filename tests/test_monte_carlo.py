@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import fsothz.metrics_analytic as ma
 import fsothz.monte_carlo as mc
@@ -12,7 +12,7 @@ from fsothz.channel_access import access_snr_cdf
 from fsothz.channel_fso import fso_snr_cdf
 from fsothz.channel_thz import thz_snr_cdf
 from fsothz.errors import DomainError
-from fsothz.switching import HardPolicy
+from fsothz.switching import HardPolicy, evaluate_soft_trace
 
 from conftest import (GTH_5DB, access_spec, fso_spec, soft_policy,
                       system_spec, thz_spec)
@@ -41,6 +41,9 @@ def ks_pvalue(samples, cdf_grid_fn, n_eff=None):
 
 N = 400_000
 SNR = 20.0
+# transmit SNR at which the hard hybrid link of system_spec() is in outage
+# for a sizeable share of slots
+SNR_LOSSY = 12.0
 
 
 class TestRngStream:
@@ -192,6 +195,56 @@ class TestEstimators:
             assert est.ci_lo <= est.value <= est.ci_hi
             assert est.n_samples >= 50_000
 
+    def test_soft_outage_carries_memory_across_blocks(self):
+        # one trace over burn-in + n slots, counted after the burn-in, must
+        # equal the block-wise estimate; with this seed the first block ends
+        # with the FSO memory set and the second opens on a mid-band slot in
+        # THz outage, so dropping the memory would lose one outage slot
+        spec = system_spec(snr_db=15.0, policy=soft_policy())
+        n = mc.BLOCK_SIZE + 5000
+        est = mc.estimate_outage(spec, n, 34, "hybrid")
+        gf, gt = mc.sample_trace_snrs(spec, n + mc.TRACE_BURN_IN, 0.0, 34)
+        states = evaluate_soft_trace(gf, gt, spec.policy)[mc.TRACE_BURN_IN:]
+        assert est.n_samples == n
+        assert est.value == np.count_nonzero(states == 2) / n
+
+    def test_hard_e2e_outage_counts_draws_in_stream_order(self):
+        spec = system_spec(snr_db=20.0)
+        n = 50_000
+        rng = mc.RngStream(19, 0).generator()
+        gf = mc.sample_fso_snr(spec.fso, 20.0, rng, n)
+        gt = mc.sample_thz_snr(spec.thz, 20.0, rng, n)
+        gr = mc.sample_access_snr(spec.access, 20.0, rng, n)
+        th = spec.policy.gamma_th
+        fail = ((gf < th) & (gt < th)) | (gr < spec.gamma_r_th)
+        est = mc.estimate_outage(spec, n, 19, "e2e")
+        assert est.value == np.count_nonzero(fail) / n
+
+    def test_hybrid_aber_ratio_stderr_by_delta_method(self):
+        spec = system_spec(snr_db=SNR_LOSSY)
+        mod = Modulation.bpsk()
+        n = mc.MIN_SAMPLES
+        rng = mc.RngStream(23, 0).generator()
+        gf = mc.sample_fso_snr(spec.fso, SNR_LOSSY, rng, n)
+        gt = mc.sample_thz_snr(spec.thz, SNR_LOSSY, rng, n)
+        th = spec.policy.gamma_th
+        sent = (gf >= th) | (gt >= th)
+        v = np.where(gf >= th, 0.5 * special.erfc(np.sqrt(gf)),
+                     np.where(gt >= th, 0.5 * special.erfc(np.sqrt(gt)), 0.0))
+        ratio = v.sum() / sent.sum()
+        want = math.sqrt(np.sum((v - ratio * sent) ** 2)) / sent.sum()
+        assert 0.1 < sent.mean() < 0.9
+        est = mc.estimate_aber(spec, mod, n, 23, "hybrid")
+        assert est.value == pytest.approx(ratio, rel=1e-12)
+        assert est.stderr == pytest.approx(want, rel=1e-9)
+
+    def test_hybrid_aber_without_transmission_is_undefined(self):
+        spec = system_spec(snr_db=-20.0, policy=soft_policy())
+        mod = Modulation.mpsk(16)
+        est = mc.estimate_aber(spec, mod, mc.MIN_SAMPLES, 7, "hybrid")
+        assert math.isnan(est.value) and math.isnan(est.stderr)
+        assert est.ci95 == (0.0, mod.a * mod.n0)
+
     def test_ci_coverage_smoke(self):
         # 95% Wilson interval covers the analytic value in >= 90/100 runs
         spec = system_spec(snr_db=20.0)
@@ -234,8 +287,8 @@ class TestTraces:
 
     def test_run_trace_reproducible(self):
         spec = system_spec(snr_db=25.0, policy=soft_policy())
-        a = mc.run_trace(spec, 50_000, 0.9, 44)
-        b = mc.run_trace(spec, 50_000, 0.9, 44)
+        a = mc.sample_trace_snrs(spec, 50_000, 0.9, 44)
+        b = mc.sample_trace_snrs(spec, 50_000, 0.9, 44)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 

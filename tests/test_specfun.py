@@ -148,23 +148,6 @@ class TestErfc:
         assert specfun.erfc(x) == pytest.approx(series, abs=1e-12)
 
 
-class TestErfcMaclaurin:
-    @pytest.mark.parametrize("x", [0.0, 0.04, 0.5, 3.0, 10.0, 17.5, 25.0])
-    def test_reproduces_erfc_sqrt(self, x):
-        got = specfun.erfc_maclaurin(x)
-        assert not got.flags
-        assert got.value == pytest.approx(math.erfc(math.sqrt(x)), abs=1e-10)
-
-    def test_pure(self):
-        a = specfun.erfc_maclaurin(7.7)
-        b = specfun.erfc_maclaurin(7.7)
-        assert a.value == b.value and a.flags == b.flags
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            specfun.erfc_maclaurin(-1.0)
-
-
 class TestGauss2F1:
     def test_at_zero(self):
         assert specfun.gauss_2f1(1.3, -0.7, 2.2, 0.0).value == 1.0
