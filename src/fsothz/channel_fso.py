@@ -5,12 +5,20 @@ product of Gamma-Gamma scintillation and the misalignment loss, tau = 1 for
 heterodyne detection and tau = 2 for IM/DD.  delta_tau = (P eta I_l)^tau /
 sigma^2 with unit noise variance, so the "transmit SNR" knob P/sigma^2 in dB
 is the only power input.
+
+The SNR CDF is a Meijer-G closed form and carries the engine's route flags.
+The density is the one-dimensional integral over the scintillation that
+conditions on I_a (see :func:`fso_snr_pdf`), evaluated by a fixed
+Gauss-Legendre rule without any Meijer-G call, so it carries no flags.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy import optimize, special
 
 from . import specfun
 from .errors import DomainError, NumericalIntegrityError
@@ -29,6 +37,23 @@ __all__ = [
 # CDF/PDF excursions beyond [0,1] larger than this are treated as numerical
 # integrity failures rather than clamped away.
 PROBABILITY_SLACK = 1e-9
+
+# The density integral covers the offsets where its log integrand lies within
+# PDF_LOG_RANGE of its maximum (e^-40 ~ 4e-18 of the peak is dropped at each
+# end), found by a scan whose points grow by PDF_SCAN_RATIO and stop at
+# PDF_SCAN_LIMIT in ln I_a (beyond any finite gamma and the whole Gamma-Gamma
+# bulk).  PDF_PANELS Gauss-Legendre panels of PDF_NODES nodes then cover it;
+# against mpmath at 30 digits this keeps about 1e-13 relative accuracy.
+PDF_LOG_RANGE = 40.0
+PDF_SCAN_RATIO = 1.5
+PDF_SCAN_LIMIT = 2000.0
+PDF_PANELS = 4
+PDF_NODES = 32
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PDF_NODES)
+# the composite rule on [0, 1]: PDF_PANELS equal panels, one array of nodes
+_UNIT_NODES = ((np.arange(PDF_PANELS)[:, None] + 0.5 + 0.5 * _GL_NODES)
+               / PDF_PANELS).ravel()
+_UNIT_WEIGHTS = np.tile(_GL_WEIGHTS, PDF_PANELS) / (2.0 * PDF_PANELS)
 
 
 def attenuation_coefficient_per_km(visibility_km: float, wavelength_m: float) -> float:
@@ -173,26 +198,110 @@ def _cdf_blocks(spec: FsoLinkSpec):
     return rho1, rho2, d1, d2
 
 
+def _log_gg_offset(s, z0: float, log_k0: float, slope: float, nu: float):
+    """ln of the conditional integrand at offsets ``s`` >= 0 from ln c.
+
+    With z = z0 e^(s/2) this is ln[f_Ia(e^u) e^u e^(-xi^2 s)] minus its
+    value at s = 0, where f_Ia(a) is proportional to
+    a^((al+be)/2 - 1) K_nu(2 sqrt(al be a)); ``slope`` = (al+be)/2 - xi^2.
+    Written on kve and expm1 so that offsets far below the unit in ln c keep
+    their precision.  Beyond the range of z the log is -inf.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        z = z0 * np.exp(0.5 * s)
+        return (slope * s + np.log(special.kve(nu, z)) - log_k0
+                - z0 * np.expm1(0.5 * s))
+
+
+def _log_gg_derivatives(s: float, z0: float, nu: float, be_minus_xi2: float):
+    """First and second derivative of :func:`_log_gg_offset` at ``s``.
+
+    With R = K_(nu-1)(z) / K_nu(z): d/ds = be - xi^2 - z R / 2 and
+    d2/ds2 = -z (z R^2 + 2 nu R - z) / 4, from the Bessel-K recurrences.
+    """
+    z = z0 * math.exp(0.5 * s)
+    r = special.kve(nu - 1.0, z) / special.kve(nu, z)
+    return be_minus_xi2 - 0.5 * z * r, -0.25 * z * (z * r * r + 2.0 * nu * r - z)
+
+
+def _level_offset(log_f, origin: float, step: float, limit: float,
+                  threshold: float) -> float:
+    """Distance from ``origin`` at which ``log_f`` first drops below threshold.
+
+    Scans ``origin`` +/- step * PDF_SCAN_RATIO^k (the sign of ``step``) up
+    to ``limit`` in one vectorized call; log-concavity makes the first
+    scan point below ``threshold`` lie beyond the level set.
+    """
+    n = max(int(math.ceil(math.log(limit / abs(step))
+                          / math.log(PDF_SCAN_RATIO))), 0)
+    dist = np.minimum(abs(step) * PDF_SCAN_RATIO ** np.arange(n + 1), limit)
+    below = log_f(origin + math.copysign(1.0, step) * dist) < threshold
+    return float(dist[int(np.argmax(below))] if below.any() else limit)
+
+
 def fso_snr_pdf(gamma: float, spec: FsoLinkSpec,
                 transmit_snr_db: float) -> specfun.KernelValue:
-    """Density of the FSO SNR at ``gamma`` > 0."""
+    """Density of the FSO SNR at ``gamma`` > 0.
+
+    Conditioned on the Gamma-Gamma scintillation I_a (Farid & Hranilovic,
+    J. Lightwave Technol. 25(7), 2007), with u = ln I_a, the unit-mean
+    Gamma-Gamma density f_Ia and c = (gamma / delta_tau)^(1/tau) / A0:
+
+        f(gamma) = xi^2 / (tau gamma) * int_{ln c}^inf
+                   f_Ia(e^u) e^u e^(-xi^2 (u - ln c)) du.
+
+    The integrand is log-concave in u.  Its maximum sits at u = ln c or at
+    the root of its log-derivative above ln c; the interval where it lies
+    within PDF_LOG_RANGE of that maximum is found by a geometric scan out
+    of the maximum, and a fixed Gauss-Legendre rule of PDF_PANELS panels
+    covers it.
+    """
     if not gamma > 0:
         raise DomainError(f"fso_snr_pdf requires gamma > 0, got {gamma}")
     tau = spec.detection_tau
     xi2 = spec.pointing.xi ** 2
     al, be = spec.alpha_f, spec.beta_f
-    delta = spec.delta_tau(transmit_snr_db)
-    z = al * be / spec.pointing.a0 * (gamma / delta) ** (1.0 / tau)
-    g = specfun.meijer_g(specfun.MeijerGSpec(
-        a_front=(), a_back=(xi2 + 1.0,),
-        b_front=(xi2, al, be), b_back=(), z=z))
-    value = xi2 / (tau * math.gamma(al) * math.gamma(be) * gamma) * g.value
-    if value < 0.0:
-        if value < -PROBABILITY_SLACK:
-            raise NumericalIntegrityError(
-                f"fso_snr_pdf produced density {value} at gamma={gamma}")
-        value = 0.0
-    return specfun.KernelValue(value, g.flags)
+    nu = al - be
+    log_c = (math.log(gamma / spec.delta_tau(transmit_snr_db)) / tau
+             - math.log(spec.pointing.a0))
+    z0 = 2.0 * math.sqrt(al * be) * math.exp(0.5 * log_c)
+    log_k0 = math.log(special.kve(nu, z0))
+
+    def log_f(s):
+        return _log_gg_offset(s, z0, log_k0, 0.5 * (al + be) - xi2, nu)
+
+    peak = 0.0
+    slope, curv = _log_gg_derivatives(0.0, z0, nu, be - xi2)
+    if slope > 0.0:
+        # rising at ln c: the maximum is interior, and below
+        # z = 2 (al + be) + 2, where z R / 2 exceeds beta for any nu
+        top = 2.0 * math.log((2.0 * (al + be) + 2.0) / z0)
+        peak = optimize.brentq(
+            lambda s: _log_gg_derivatives(s, z0, nu, be - xi2)[0], 0.0, top,
+            xtol=1e-9, rtol=1e-12)
+        slope, curv = _log_gg_derivatives(peak, z0, nu, be - xi2)
+    # distance over which a linear or quadratic fall loses PDF_LOG_RANGE
+    width = min(PDF_LOG_RANGE / -slope if slope < 0.0 else math.inf,
+                math.sqrt(2.0 * PDF_LOG_RANGE / -curv) if curv < 0.0 else math.inf,
+                PDF_SCAN_LIMIT)
+    log_peak = float(log_f(np.array([peak]))[0])
+    threshold = log_peak - PDF_LOG_RANGE
+    step = 1e-2 * width
+    hi = peak + _level_offset(log_f, peak, step, PDF_SCAN_LIMIT, threshold)
+    lo = 0.0
+    if peak > 0.0:
+        lo = peak - _level_offset(log_f, peak, -step, peak, threshold)
+    area = (hi - lo) * float(np.dot(
+        _UNIT_WEIGHTS, np.exp(log_f(lo + (hi - lo) * _UNIT_NODES) - log_peak)))
+    log_norm = (math.log(2.0) + 0.5 * (al + be) * math.log(al * be)
+                - math.lgamma(al) - math.lgamma(be))
+    log_value = (math.log(xi2 / (tau * gamma)) + log_norm
+                 + 0.5 * (al + be) * log_c + log_k0 - z0 + log_peak)
+    value = math.exp(log_value) * area
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise NumericalIntegrityError(
+            f"fso_snr_pdf produced density {value} at gamma={gamma}")
+    return specfun.KernelValue(value)
 
 
 def fso_snr_cdf(gamma: float, spec: FsoLinkSpec,

@@ -704,17 +704,29 @@ def _aber_fso_full(spec: SystemSpec, mod: Modulation) -> KernelValue:
     return KernelValue(total, frozenset(flags))
 
 
-def _quad_aber_lower(pdf, gamma_th: float, mod: Modulation) -> float:
+def _quad_aber_upper(pdf, gamma_th: float, mod: Modulation) -> KernelValue:
+    """A * int_th^inf erfc(sqrt(B_p g)) f(g) dg summed over p, by quadrature.
+
+    The part above the threshold is integrated directly, to relative
+    accuracy: where the lower-tail series cannot be trusted, "full minus
+    lower" cancels down to the rounding error of the full term.
+    """
     def integrand(g):
         err = sum(math.erfc(math.sqrt(b * g)) for b in mod.b_list)
         return mod.a * err * pdf(g)
 
-    val, _ = integrate.quad(integrand, 0.0, gamma_th, limit=200)
-    return val
+    val, _ = integrate.quad(integrand, gamma_th, math.inf, limit=200,
+                            epsabs=0.0, epsrel=1e-9)
+    return KernelValue(val, frozenset({FLAG_TAIL_QUADRATURE}))
 
 
-def _aber_fso_lower(gamma_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
-    """A * int_0^th erfc(sqrt(B_p g)) f(g) dg summed over p (erfc series form)."""
+def _aber_fso_lower(gamma_th: float, spec: SystemSpec,
+                    mod: Modulation) -> KernelValue | None:
+    """A * int_0^th erfc(sqrt(B_p g)) f(g) dg summed over p (erfc series form).
+
+    None where the series cannot be trusted: beyond its argument bounds or
+    when an inner Meijer-G evaluation hits its refinement cap.
+    """
     fso = spec.fso
     tau = fso.detection_tau
     rho1, rho2, d1, d2 = channel_fso._cdf_blocks(fso)
@@ -722,10 +734,7 @@ def _aber_fso_lower(gamma_th: float, spec: SystemSpec, mod: Modulation) -> Kerne
                            * fso.delta_tau(spec.transmit_snr_db))
     if (max(mod.b_list) * gamma_th > ERFC_SERIES_MAX_ARG
             or zth > LOWER_SERIES_MAX_Z):
-        val = _quad_aber_lower(
-            lambda g: channel_fso.fso_snr_pdf(g, fso, spec.transmit_snr_db).value,
-            gamma_th, mod)
-        return KernelValue(val, frozenset({FLAG_TAIL_QUADRATURE}))
+        return None
     cdf_g = specfun.meijer_g(specfun.MeijerGSpec(
         a_front=(1.0,), a_back=rho1, b_front=rho2, b_back=(0.0,), z=zth))
     flags = set(cdf_g.flags)
@@ -739,11 +748,7 @@ def _aber_fso_lower(gamma_th: float, spec: SystemSpec, mod: Modulation) -> Kerne
                 a_front=(1.0 - ex,), a_back=rho1,
                 b_front=rho2, b_back=(-ex,), z=zth))
             if g.flags & {specfun.FLAG_CONTOUR_REFINE_CAP}:
-                # inner evaluation unreliable: integrate the tail instead
-                val = _quad_aber_lower(
-                    lambda x: channel_fso.fso_snr_pdf(
-                        x, fso, spec.transmit_snr_db).value, gamma_th, mod)
-                return KernelValue(val, frozenset({FLAG_TAIL_QUADRATURE}))
+                return None
             term = coeff * (b * gamma_th) ** ex / (2 * j + 1) * g.value
             series += term
             flags |= g.flags
@@ -762,14 +767,20 @@ def aber_fso(gamma_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
     The lower-tail term enters with a minus sign (the two pieces are the
     full-range average and the below-threshold average); the composition in
     the source prints them with a plus, which double-counts the tail.
+    Where the lower-tail series cannot be trusted, the part above the
+    threshold is integrated directly and flagged ``tail-quadrature``.
     """
     _require_tau_match(spec, mod)
     if gamma_th < 0:
         raise DomainError("gamma_th must be >= 0")
-    full = _aber_fso_full(spec, mod)
     if gamma_th == 0.0:
-        return full
+        return _aber_fso_full(spec, mod)
     lower = _aber_fso_lower(gamma_th, spec, mod)
+    if lower is None:
+        return _quad_aber_upper(
+            lambda g: channel_fso.fso_snr_pdf(g, spec.fso, spec.transmit_snr_db).value,
+            gamma_th, mod)
+    full = _aber_fso_full(spec, mod)
     return _merge(max(full.value - lower.value, 0.0), full, lower)
 
 
@@ -821,11 +832,12 @@ def _quad_aber_thz_range(spec: SystemSpec, mod: Modulation,
     return _quad_split(integrand, lo, hi, min(1.0 / max(mod.b_list), gbar))
 
 
-def _aber_thz_lower(gamma_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
+def _aber_thz_lower(gamma_th: float, spec: SystemSpec,
+                    mod: Modulation) -> KernelValue | None:
+    """Below-threshold THz ABER term; None beyond the erfc-series bound."""
     thz = spec.thz
     if max(mod.b_list) * gamma_th > ERFC_SERIES_MAX_ARG:
-        return KernelValue(_quad_aber_thz_range(spec, mod, 0.0, gamma_th),
-                           frozenset({FLAG_TAIL_QUADRATURE}))
+        return None
     gbar = thz.gamma_bar(spec.transmit_snr_db)
     xi2 = thz.xi_t ** 2
     log_ratio = xi2 / 2.0 * math.log(gamma_th / gbar)
@@ -857,13 +869,21 @@ def _aber_thz_lower(gamma_th: float, spec: SystemSpec, mod: Modulation) -> Kerne
 
 
 def aber_thz(gamma_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
-    """Average BER of the THz link conditioned on transmission above gamma_th."""
+    """Average BER of the THz link conditioned on transmission above gamma_th.
+
+    Beyond the erfc-series bound the part above the threshold is integrated
+    directly and flagged ``tail-quadrature``, as in :func:`aber_fso`.
+    """
     if gamma_th < 0:
         raise DomainError("gamma_th must be >= 0")
-    full = _aber_thz_full(spec, mod)
     if gamma_th == 0.0:
-        return full
+        return _aber_thz_full(spec, mod)
     lower = _aber_thz_lower(gamma_th, spec, mod)
+    if lower is None:
+        return _quad_aber_upper(
+            lambda g: channel_thz.thz_snr_pdf(g, spec.thz, spec.transmit_snr_db).value,
+            gamma_th, mod)
+    full = _aber_thz_full(spec, mod)
     return _merge(max(full.value - lower.value, 0.0), full, lower)
 
 

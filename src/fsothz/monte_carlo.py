@@ -343,14 +343,18 @@ def estimate_aber(spec: SystemSpec, mod: Modulation, n: int, seed: int,
     Hybrid estimates apply the non-outage conditioning of the closed form:
     the ratio of total error to transmitting slots, with its stderr by the
     delta method.  With no transmitting slot the value is nan and the
-    interval is the whole range [0, A n0].  Per-link estimates are the plain
-    truncated averages.
+    interval is the whole range [0, A n0]; the e2e estimate is then nan too,
+    with the interval the composition spans over that range.  Per-link
+    estimates are the plain truncated averages.
     """
     _check_args(n, link)
     z = 1.959963984540054
     if link == "e2e":
         hyb = estimate_aber(spec, mod, n, seed, "hybrid")
         acc = estimate_aber(spec, mod, n, seed, "access")
+        if math.isnan(hyb.value):
+            ends = [h + acc.value - 2.0 * h * acc.value for h in hyb.ci95]
+            return EstimateResult(math.nan, math.nan, n, min(ends), max(ends))
         value = hyb.value + acc.value - 2.0 * hyb.value * acc.value
         stderr = math.hypot((1.0 - 2.0 * acc.value) * hyb.stderr,
                             (1.0 - 2.0 * hyb.value) * acc.stderr)

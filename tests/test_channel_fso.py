@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -106,6 +107,56 @@ def _quad_pdf_full(spec):
     delta = spec.delta_tau(SNR_DB)
     edges = [0.0] + list(delta * np.geomspace(1e-7, 1e3, 21)) + [math.inf]
     return sum(_quad_pdf(spec, a, b) for a, b in zip(edges, edges[1:]))
+
+
+def _mpmath_pdf(gamma, spec, snr_db):
+    """The density as G^{3,0}_{1,3}, evaluated by mpmath at 30 digits."""
+    tau = spec.detection_tau
+    with mpmath.workdps(30):
+        xi2 = mpmath.mpf(spec.pointing.xi) ** 2
+        al, be = mpmath.mpf(spec.alpha_f), mpmath.mpf(spec.beta_f)
+        z = (al * be / spec.pointing.a0
+             * (mpmath.mpf(gamma) / spec.delta_tau(snr_db)) ** (mpmath.mpf(1) / tau))
+        g = mpmath.meijerg([[], [xi2 + 1]], [[xi2, al, be], []], z)
+        return float(xi2 / (tau * mpmath.gamma(al) * mpmath.gamma(be) * gamma) * g)
+
+
+# turbulence and pointing of the figure presets: fig5/fig12 strong case (a)
+# and moderate case (b) (xi^2 = 20.9), fig10 at 0.2 m jitter (xi^2 = 0.53)
+# and at 0.1 m jitter, whose xi^2 = 4.27 sits just above beta_F = 4.25
+DENSITY_GEOMETRIES = {
+    "strong": dict(cn2=1e-12),
+    "moderate": dict(cn2=5e-13),
+    "fig10_jitter0.2": dict(cn2=5e-13, aperture_radius_m=0.10,
+                            beamwidth_m=0.27, jitter_std_m=0.20),
+    "fig10_jitter0.1": dict(cn2=5e-13, aperture_radius_m=0.10,
+                            beamwidth_m=0.40, jitter_std_m=0.10),
+}
+
+
+class TestPdfAgainstMpmath:
+    @pytest.mark.parametrize("tau", [1, 2])
+    @pytest.mark.parametrize("geometry", sorted(DENSITY_GEOMETRIES))
+    def test_matches_meijer_g(self, geometry, tau):
+        spec = fso_spec(tau=tau, **DENSITY_GEOMETRIES[geometry])
+        scale = spec.pointing.a0 / (spec.alpha_f * spec.beta_f)
+        for z in np.geomspace(1e-3, 1e3, 7):
+            gamma = spec.delta_tau(SNR_DB) * (z * scale) ** tau
+            assert fso_snr_pdf(gamma, spec, SNR_DB).value == pytest.approx(
+                _mpmath_pdf(gamma, spec, SNR_DB), rel=1e-9, abs=0.0)
+
+    # fig12 moderate case (b) at 5.3 dB: z = 386 and z = 1.27e3, where the
+    # Meijer-G contour stopped at its refinement cap (-9.3e-5 relative) and
+    # the leading-term asymptotic was used out of its regime (+44 %)
+    @pytest.mark.parametrize("gamma", [15.2, 50.0])
+    def test_deep_tail_points(self, gamma):
+        spec = fso_spec(cn2=5e-13)
+        assert fso_snr_pdf(gamma, spec, 5.3).value == pytest.approx(
+            _mpmath_pdf(gamma, spec, 5.3), rel=1e-9, abs=0.0)
+
+    def test_no_meijer_g_flags(self):
+        spec = fso_spec(cn2=5e-13)
+        assert fso_snr_pdf(50.0, spec, 5.3).flags == frozenset()
 
 
 class TestSnrDistribution:

@@ -7,11 +7,12 @@ import pytest
 from scipy import integrate, special
 
 import fsothz.metrics_analytic as ma
+from fsothz import channel_fso, figures, specfun
 from fsothz.channel_access import access_snr_pdf
 from fsothz.channel_fso import fso_snr_pdf
 from fsothz.channel_thz import thz_snr_pdf
 from fsothz.errors import DomainError
-from fsothz.switching import HardPolicy, SoftPolicy
+from fsothz.switching import HardPolicy, SoftPolicy, soft_fso_off_probability
 
 from conftest import GTH_5DB, access_spec, soft_policy, system_spec
 
@@ -320,3 +321,127 @@ class TestAber:
         soft = system_spec(snr_db=35.0, policy=HardPolicy(GTH_5DB).as_soft())
         assert ma.aber_hybrid(soft, mod).value == pytest.approx(
             ma.aber_hybrid(hard, mod).value, rel=1e-9)
+
+
+def _fso_upper_aber_oracle(gamma_th, spec, mod):
+    """A sum_p E[erfc(sqrt(B_p gamma_F)); gamma_F > gamma_th], given I_a.
+
+    Uses neither the density under test nor the Meijer-G engine.  Given
+    I_a = e^u, -ln(I_p / A0) is exponential with rate xi^2; with
+    K = B delta (e^u A0)^tau, y = B gamma_th and p = xi^2 / tau, integration
+    by parts gives the conditional expectation in closed form,
+        erfc(sqrt K) - (y/K)^p erfc(sqrt y)
+        + K^-p Gamma(p + 1/2) / sqrt(pi) * (P(p + 1/2, K) - P(p + 1/2, y)),
+    and quadrature over u against the Gamma-Gamma density (through kve)
+    does the rest.
+    """
+    fso = spec.fso
+    tau = fso.detection_tau
+    al, be = fso.alpha_f, fso.beta_f
+    p = fso.pointing.xi ** 2 / tau
+    delta = fso.delta_tau(spec.transmit_snr_db)
+    log_norm = (math.log(2.0) + 0.5 * (al + be) * math.log(al * be)
+                - math.lgamma(al) - math.lgamma(be))
+    u_th = math.log(gamma_th / delta) / tau - math.log(fso.pointing.a0)
+    total = 0.0
+    for b in mod.b_list:
+        y = b * gamma_th
+
+        def integrand(u):
+            z = 2.0 * math.sqrt(al * be) * math.exp(0.5 * u)
+            if z > 1e4:                     # density below e^-9000
+                return 0.0
+            density = math.exp(log_norm + 0.5 * (al + be) * u
+                               + math.log(special.kve(al - be, z)) - z)
+            k = y * math.exp(tau * (u - u_th))
+            given = (math.erfc(math.sqrt(k)) - (y / k) ** p * math.erfc(math.sqrt(y))
+                     + math.exp(math.lgamma(p + 0.5) - p * math.log(k))
+                     / math.sqrt(math.pi)
+                     * (special.gammainc(p + 0.5, k) - special.gammainc(p + 0.5, y)))
+            return density * given
+
+        val, _ = integrate.quad(integrand, u_th, math.inf, limit=400,
+                                epsabs=0.0, epsrel=1e-11)
+        total += mod.a * val
+    return total
+
+
+class TestAberUpperTail:
+    """Escalated lower tails: the part above threshold is integrated directly.
+
+    fig12 soft moderate case (b) at 0 dB: almost no FSO mass lies above
+    gamma_u (about 3e-10), and "full minus lower" returned 1.6e-9 there,
+    a hybrid ABER of 5.1 on the Meijer-G density and 7.4e-7 on the
+    conditional one.
+    """
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        job = {j.label: j for j in figures.figure_jobs("fig12")}["soft_mod_b"]
+        return job.config.system_spec(transmit_snr_db=0.0)
+
+    def test_fso_tails_match_conditional_oracle(self, spec):
+        mod = Modulation.bpsk()
+        for gamma_th in (spec.policy.gamma_f_th_u, spec.policy.gamma_f_th_l):
+            got = ma.aber_fso(gamma_th, spec, mod)
+            assert ma.FLAG_TAIL_QUADRATURE in got.flags
+            assert got.value == pytest.approx(
+                _fso_upper_aber_oracle(gamma_th, spec, mod), rel=1e-7, abs=0.0)
+
+    def test_hybrid_matches_direct_tails(self, spec):
+        mod = Modulation.bpsk()
+        pol = spec.policy
+        b_fu = _fso_upper_aber_oracle(pol.gamma_f_th_u, spec, mod)
+        b_fl = _fso_upper_aber_oracle(pol.gamma_f_th_l, spec, mod)
+        b_t, _ = integrate.quad(
+            lambda g: (mod.a * math.erfc(math.sqrt(g))
+                       * thz_snr_pdf(g, spec.thz, spec.transmit_snr_db).value),
+            pol.gamma_t_th, math.inf, limit=400, epsabs=0.0, epsrel=1e-11)
+        f_u = ma.outage_fso(spec, pol.gamma_f_th_u).value
+        f_l = ma.outage_fso(spec, pol.gamma_f_th_l).value
+        p_off = soft_fso_off_probability(f_l, f_u - f_l, 1.0 - f_u)
+        num = b_fu + p_off * b_t + (b_fl - b_fu) * (1.0 - f_u) / (f_l + 1.0 - f_u)
+        want = num / (1.0 - ma.outage_hybrid(spec).value)
+        got = ma.aber_hybrid(spec, mod).value
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert 0.0 <= got <= mod.a * mod.n0
+
+    def test_thz_tail_beyond_series_bound(self):
+        # B gamma_th = 30 > 25: the erfc series is not used for the lower tail
+        spec = system_spec(snr_db=40.0)
+        mod = Modulation.bpsk()
+        got = ma.aber_thz(30.0, spec, mod)
+        edges = [30.0, 31.0, 34.0, 40.0, 60.0, math.inf]
+        want = sum(integrate.quad(
+            lambda g: (mod.a * math.erfc(math.sqrt(g))
+                       * thz_snr_pdf(g, spec.thz, 40.0).value),
+            lo, hi, limit=400, epsabs=1e-30, epsrel=1e-9)[0]
+            for lo, hi in zip(edges, edges[1:]))
+        assert ma.FLAG_TAIL_QUADRATURE in got.flags
+        assert got.value == pytest.approx(want, rel=1e-7, abs=0.0)
+
+    def test_density_makes_no_meijer_g_call(self, spec, monkeypatch):
+        calls = {"pdf": 0, "meijer_g_in_pdf": 0}
+        inside = []
+        meijer_g, pdf = specfun.meijer_g, channel_fso.fso_snr_pdf
+
+        def counted_meijer_g(g_spec):
+            if inside:
+                calls["meijer_g_in_pdf"] += 1
+            return meijer_g(g_spec)
+
+        def counted_pdf(*args):
+            calls["pdf"] += 1
+            inside.append(True)
+            try:
+                return pdf(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(specfun, "meijer_g", counted_meijer_g)
+        monkeypatch.setattr(channel_fso, "fso_snr_pdf", counted_pdf)
+        channel_fso.fso_snr_pdf(1.0, spec.fso, spec.transmit_snr_db)
+        got = ma.aber_fso(spec.policy.gamma_f_th_u, spec, Modulation.bpsk())
+        assert ma.FLAG_TAIL_QUADRATURE in got.flags
+        assert calls["pdf"] > 1
+        assert calls["meijer_g_in_pdf"] == 0

@@ -8,6 +8,7 @@ from scipy import special, stats
 
 import fsothz.metrics_analytic as ma
 import fsothz.monte_carlo as mc
+from fsothz import figures
 from fsothz.channel_access import access_snr_cdf
 from fsothz.channel_fso import fso_snr_cdf
 from fsothz.channel_thz import thz_snr_cdf
@@ -244,6 +245,18 @@ class TestEstimators:
         est = mc.estimate_aber(spec, mod, mc.MIN_SAMPLES, 7, "hybrid")
         assert math.isnan(est.value) and math.isnan(est.stderr)
         assert est.ci95 == (0.0, mod.a * mod.n0)
+
+    def test_e2e_aber_without_transmission_spans_composition(self):
+        job = {j.label: j for j in figures.figure_jobs("fig12")}["soft_str_a"]
+        spec = job.config.system_spec(transmit_snr_db=0.0)
+        mod = job.modulation
+        assert math.isnan(mc.estimate_aber(spec, mod, 20_000, 7, "hybrid").value)
+        acc = mc.estimate_aber(spec, mod, 20_000, 7, "access").value
+        est = mc.estimate_aber(spec, mod, 20_000, 7, "e2e")
+        assert math.isnan(est.value) and math.isnan(est.stderr)
+        top = mod.a * mod.n0
+        ends = sorted([acc, top + acc - 2.0 * top * acc])
+        assert est.ci95 == pytest.approx(ends, rel=1e-12)
 
     def test_ci_coverage_smoke(self):
         # 95% Wilson interval covers the analytic value in >= 90/100 runs
