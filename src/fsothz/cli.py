@@ -13,6 +13,7 @@ integrity failure (the failing operation is named on stderr).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,11 @@ CSV_HEADER = "sweep_value,metric,method,value,ci_lo,ci_hi,flags"
 
 # decorrelates per-sweep-point RNG substreams
 _POINT_SEED_STRIDE = 1_000_003
+
+# an asymptotic outage outside [0, 1]: the SNR is below the high-SNR regime
+FLAG_ASYMPTOTIC_OUT_OF_REGIME = "asymptotic-out-of-regime"
+# a Monte Carlo estimate left undefined because no slot transmitted
+FLAG_MC_NO_TRANSMISSION = "mc-no-transmission"
 
 
 def _fmt(x: float) -> str:
@@ -82,7 +88,10 @@ def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
                              flags=res.flags))
         if "asymptotic" in methods and command == "outage":
             val = ma.asymptotic_outage(spec, link)
-            rows.append(_row(sweep_value, name, "asymptotic", val))
+            flags = (() if 0.0 <= val <= 1.0
+                     else (FLAG_ASYMPTOTIC_OUT_OF_REGIME,))
+            rows.append(_row(sweep_value, name, "asymptotic", val,
+                             flags=flags))
         if "mc" in methods:
             if command == "outage":
                 est = mc.estimate_outage(spec, samples, seed, link)
@@ -90,8 +99,10 @@ def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
                 est = mc.estimate_capacity(spec, samples, seed, link)
             else:
                 est = mc.estimate_aber(spec, mod, samples, seed, link)
+            flags = ((FLAG_MC_NO_TRANSMISSION,) if math.isnan(est.value)
+                     else ())
             rows.append(_row(sweep_value, name, "mc", est.value,
-                             est.ci_lo, est.ci_hi))
+                             est.ci_lo, est.ci_hi, flags))
     return rows
 
 

@@ -895,10 +895,11 @@ def _aber_access_full(spec: SystemSpec, mod: Modulation) -> KernelValue:
     flags = set()
     for b in mod.b_list:
         hyp = specfun.gauss_2f1(1.0, k + 0.5, k + 1.0, rate / (b + rate))
-        flags |= hyp.flags
         if hyp.flags & {specfun.FLAG_TRUNCATION_CAP}:
+            # quadrature replaces every 2F1 term, so no series flag applies
             return KernelValue(_quad_aber_access_range(spec, mod, 0.0, math.inf),
-                               frozenset(flags | {FLAG_TAIL_QUADRATURE}))
+                               frozenset({FLAG_TAIL_QUADRATURE}))
+        flags |= hyp.flags
         logv = (math.log(mod.a / math.sqrt(math.pi)) - math.lgamma(k)
                 + k * math.log(rate) + 0.5 * math.log(b)
                 + math.lgamma(k + 0.5) - math.log(k)

@@ -15,6 +15,19 @@ links (and on the FSO link for outage) instead run the hysteresis trace over
 ``TRACE_BURN_IN`` + n slots, carry its memory bit across blocks, and discard
 the first ``TRACE_BURN_IN`` slots; the e2e access SNRs of trace block ``i``
 come from ``RngStream(seed, 1_000_000 + i)``.
+
+Correlated traces (rho > 0) run one standard-normal AR(1) driver per random
+factor, filtered exactly in Toeplitz blocks (``_ar1_filter``), and map each
+driver to its marginal through a Gaussian copula.  The Rayleigh pointing
+drivers go through ``ndtr`` clipped to [1e-16, 1 - 1e-16]; the Gamma
+factors (alpha_F, beta_F and mu per THz branch) through a per-shape table of
+the log-quantile against the normal score over the matching range
+[ndtri(1e-16), ndtri(1 - 1e-16)], built once per shape by inverting the
+lower incomplete gamma below z = 0 and the upper one above it, and read by
+cubic Hermite interpolation with exact slopes on 2048 intervals.  Its
+relative error is at most 1.4e-11 over shapes 0.2-2000 (1.4e-12 from shape
+1 up, 5e-15 from 20 up), and the upper tail follows the exact quantile
+where ndtr(z) rounds to 1.
 """
 
 from __future__ import annotations
@@ -54,6 +67,15 @@ LINKS = ("fso", "thz", "hybrid", "access", "e2e")
 
 # Trace burn-in discarded before steady-state tallies.
 TRACE_BURN_IN = 1000
+
+# Copula drivers are clipped to the normal scores of 1e-16 and 1 - 1e-16;
+# the Gamma quantile tables span that range in this many Hermite intervals.
+Z_LO = float(sp.ndtri(1e-16))
+Z_HI = float(sp.ndtri(1.0 - 1e-16))
+QUANTILE_INTERVALS = 2048
+
+# Slots per Toeplitz block of the AR(1) driver filter.
+AR1_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -174,6 +196,77 @@ def _iter_blocks(n: int):
         index += 1
 
 
+def _ar1_filter(x: np.ndarray, rho: float, gain: float,
+                initial: np.ndarray) -> np.ndarray:
+    """Run y[:, t] = rho y[:, t-1] + gain x[:, t] along each row of ``x``.
+
+    ``initial`` is the state before the first slot, y[:, -1].  The recursion
+    is evaluated exactly in blocks of ``AR1_BLOCK`` slots: a block's response
+    to its own inputs is one product with the lower-triangular Toeplitz
+    matrix gain rho^(i-j), and the state entering it adds rho^(i+1) times the
+    last value of the block before.  Those block-end values follow the same
+    recursion with coefficient rho^AR1_BLOCK, solved by the same function.
+    """
+    rows, n = x.shape
+    size = AR1_BLOCK
+    blocks = -(-n // size)
+    full = n // size
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    toeplitz = np.where(lag >= 0, rho ** np.maximum(lag, 0), 0.0)
+    # per block: the inputs in columns 0..size-1, the entering state last
+    padded = np.zeros((rows, blocks, size + 1))
+    padded[:, :full, :size] = x[:, :full * size].reshape(rows, full, size)
+    if full < blocks:
+        padded[:, full, :n - full * size] = x[:, full * size:]
+    padded[:, 0, size] = initial
+    if blocks > 1:
+        ends = padded[:, :-1, :size] @ (gain * toeplitz[-1])
+        padded[:, 1:, size] = _ar1_filter(ends, rho ** size, 1.0, initial)
+    weights = np.vstack([gain * toeplitz.T, rho ** np.arange(1, size + 1)])
+    return (padded @ weights).reshape(rows, blocks * size)[:, :n]
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_log_quantile_table(shape: float) -> np.ndarray:
+    """Cubic Hermite coefficients of ln F^-1(ndtr(z)) for Gamma(shape, 1).
+
+    Row k holds the degree-k coefficient of each of the ``QUANTILE_INTERVALS``
+    uniform intervals of [Z_LO, Z_HI], in the local variable s in [0, 1).
+    Nodes below z = 0 invert the lower regularized incomplete gamma and
+    those above invert the upper one at ndtr(-z), so the upper tail keeps
+    full relative accuracy where ndtr(z) rounds to 1.  Node slopes are exact:
+    d ln x / dz = phi(z) Gamma(shape) / (x^shape e^-x).
+    """
+    z = np.linspace(Z_LO, Z_HI, QUANTILE_INTERVALS + 1)
+    lower = z < 0.0
+    x = np.empty_like(z)
+    x[lower] = sp.gammaincinv(shape, sp.ndtr(z[lower]))
+    x[~lower] = sp.gammainccinv(shape, sp.ndtr(-z[~lower]))
+    y = np.log(x)
+    step = (Z_HI - Z_LO) / QUANTILE_INTERVALS
+    slope = step * np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+                          + sp.gammaln(shape) - shape * y + x)
+    rise = np.diff(y)
+    coef = np.stack([y[:-1], slope[:-1],
+                     3.0 * rise - 2.0 * slope[:-1] - slope[1:],
+                     slope[:-1] + slope[1:] - 2.0 * rise])
+    coef.flags.writeable = False  # the cache hands one array to every caller
+    return coef
+
+
+def _gamma_quantile(shape: float, z: np.ndarray) -> np.ndarray:
+    """Gamma(shape, 1) quantile at normal scores ``z``, clipped to the table."""
+    coef = _gamma_log_quantile_table(shape)
+    t = (np.clip(z, Z_LO, Z_HI) - Z_LO) * (QUANTILE_INTERVALS / (Z_HI - Z_LO))
+    i = np.minimum(t.astype(np.intp), QUANTILE_INTERVALS - 1)
+    s = t - i
+    y = coef[3][i]
+    for k in (2, 1, 0):
+        y *= s
+        y += coef[k][i]
+    return np.exp(y, out=y)
+
+
 def _snr_chunk_iter(spec: SystemSpec, n: int, rho: float, stream: RngStream):
     """Per-slot (gamma_F, gamma_T) chunks, i.i.d. or AR(1)-correlated."""
     if rho == 0.0:
@@ -187,34 +280,29 @@ def _snr_chunk_iter(spec: SystemSpec, n: int, rho: float, stream: RngStream):
         raise DomainError(f"correlation rho must lie in [0, 1), got {rho}")
     # Gaussian-copula AR(1): one standard-normal driver per random factor,
     # inverse-CDF to the target marginal, single sequential RNG.
-    # scipy.signal is imported here because it adds about 24 MB of resident
-    # memory to every process, and only correlated traces need it.
-    from scipy import signal
     rng = stream.generator()
     n_drivers = 3 + spec.thz.n_rx + 1
     z_prev = rng.standard_normal(n_drivers)
     scale = math.sqrt(1.0 - rho * rho)
     fso, thz = spec.fso, spec.thz
     for _, size in _iter_blocks(n):
-        eps = rng.standard_normal((n_drivers, size))
-        z = np.empty_like(eps)
-        for d in range(n_drivers):
-            z[d], zf = signal.lfilter([scale], [1.0, -rho], eps[d],
-                                      zi=[rho * z_prev[d]])
-            z_prev[d] = z[d, -1]
-        u = sp.ndtr(z)
+        z = _ar1_filter(rng.standard_normal((n_drivers, size)), rho, scale,
+                        z_prev)
+        z_prev = z[:, -1].copy()
+        # the Rayleigh pointing drivers; the Gamma factors use the table
+        u = sp.ndtr(z[[2, 3 + thz.n_rx]])
         np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
-        ia = (sp.gammaincinv(fso.alpha_f, u[0]) / fso.alpha_f
-              * sp.gammaincinv(fso.beta_f, u[1]) / fso.beta_f)
-        r = fso.pointing.jitter_std_m * np.sqrt(-2.0 * np.log1p(-u[2]))
+        ia = (_gamma_quantile(fso.alpha_f, z[0]) / fso.alpha_f
+              * _gamma_quantile(fso.beta_f, z[1]) / fso.beta_f)
+        r = fso.pointing.jitter_std_m * np.sqrt(-2.0 * np.log1p(-u[0]))
         ip = fso.pointing.a0 * np.exp(-2.0 * r * r / fso.pointing.w_leq_m ** 2)
         gf = (fso.delta_tau(spec.transmit_snr_db)
               * (ia * ip) ** fso.detection_tau)
         sumsq = np.zeros(size)
         for j in range(thz.n_rx):
-            g = sp.gammaincinv(thz.mu, u[3 + j])
+            g = _gamma_quantile(thz.mu, z[3 + j])
             sumsq += thz.omega ** 2 * (g / thz.mu) ** (2.0 / thz.alpha)
-        rt = thz.pointing.jitter_std_m * np.sqrt(-2.0 * np.log1p(-u[3 + thz.n_rx]))
+        rt = thz.pointing.jitter_std_m * np.sqrt(-2.0 * np.log1p(-u[1]))
         hp = thz.pointing.a0 * np.exp(-2.0 * rt * rt / thz.pointing.w_leq_m ** 2)
         gt = spec.thz.gamma_bar_t(spec.transmit_snr_db) * hp * hp * sumsq
         yield gf, gt

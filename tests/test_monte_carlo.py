@@ -1,14 +1,18 @@
 """Monte Carlo tests: sampler laws, estimator agreement, reproducibility."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import fsothz
 import fsothz.metrics_analytic as ma
 import fsothz.monte_carlo as mc
-from fsothz import figures
+from fsothz import cli, figures
 from fsothz.channel_access import access_snr_cdf
 from fsothz.channel_fso import fso_snr_cdf
 from fsothz.channel_thz import thz_snr_cdf
@@ -309,3 +313,125 @@ class TestTraces:
         spec = system_spec(policy=soft_policy())
         with pytest.raises(DomainError):
             mc.sample_trace_snrs(spec, 10_000, 1.0, 1)
+
+
+def _split_tail_quantile(shape, z):
+    """Gamma quantile at normal score z, inverting the upper tail for z >= 0."""
+    z = np.asarray(z, dtype=float)
+    return np.where(z < 0.0, special.gammaincinv(shape, special.ndtr(z)),
+                    special.gammainccinv(shape, special.ndtr(-z)))
+
+
+class TestCopulaKernels:
+    SHAPES = (0.2, 0.6, 1.0, 3.0, 4.25, 5.84, 20.0, 200.0, 2000.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gamma_quantile_matches_split_tail_reference(self, shape):
+        z = np.concatenate([
+            np.linspace(mc.Z_LO, mc.Z_HI, 20_001),
+            np.random.default_rng(7).uniform(mc.Z_LO, mc.Z_HI, 20_000)])
+        got = mc._gamma_quantile(shape, z)
+        ref = _split_tail_quantile(shape, z)
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("shape", (0.2, 3.0, 5.84, 2000.0))
+    @pytest.mark.parametrize("z", (-8.0, 8.0))
+    def test_gamma_quantile_mpmath_tails(self, shape, z):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a = mpmath.mpf(shape)
+            if z < 0:
+                target = mpmath.ncdf(z)
+                law = lambda x: mpmath.gammainc(a, 0, x, regularized=True)
+            else:
+                target = mpmath.ncdf(-z)
+                law = lambda x: mpmath.gammainc(a, x, mpmath.inf,
+                                                regularized=True)
+            # solved for ln x: the lower quantile of shape 0.2 is ~1e-69
+            start = math.log(_split_tail_quantile(shape, z))
+            log_x = mpmath.findroot(
+                lambda y: mpmath.log(law(mpmath.exp(y)) / target), start)
+            exact = float(mpmath.exp(log_x))
+        got = float(mc._gamma_quantile(shape, np.array([z]))[0])
+        assert got == pytest.approx(exact, rel=1e-10)
+
+    def test_gamma_quantile_clips_to_driver_range(self):
+        got = mc._gamma_quantile(3.0, np.array([-40.0, mc.Z_LO, mc.Z_HI, 40.0]))
+        assert got[0] == got[1] and got[2] == got[3]
+        assert got[0] == pytest.approx(special.gammaincinv(3.0, 1e-16),
+                                       rel=1e-13)
+
+    def test_gamma_quantile_table_built_once_per_shape(self):
+        mc._gamma_log_quantile_table.cache_clear()
+        z = np.linspace(-3.0, 3.0, 7)
+        first = mc._gamma_quantile(2.5, z)
+        assert np.array_equal(first, mc._gamma_quantile(2.5, z))
+        info = mc._gamma_log_quantile_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("rho", (0.5, 0.9, 0.99))
+    @pytest.mark.parametrize("n", (37, 4 * mc.AR1_BLOCK, 10_007))
+    def test_ar1_filter_matches_scalar_recurrence(self, rho, n):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, n))
+        initial = np.array([2.5, -1.75, 0.5])
+        gain = math.sqrt(1.0 - rho * rho)
+        ref = np.empty_like(x)
+        for row in range(3):
+            state = initial[row]
+            for t in range(n):
+                state = rho * state + gain * x[row, t]
+                ref[row, t] = state
+        got = mc._ar1_filter(x, rho, gain, initial)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+    def test_correlated_trace_does_not_import_scipy_signal(self):
+        src = os.path.dirname(os.path.dirname(fsothz.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        script = (
+            "import sys\n"
+            "import fsothz.monte_carlo as mc\n"
+            "from fsothz.config import bundled_config_path, load_config\n"
+            "spec = load_config(bundled_config_path('default')).system_spec()\n"
+            "gf, gt = mc.sample_trace_snrs(spec, 20_000, 0.9, 1)\n"
+            "assert gf.size == gt.size == 20_000\n"
+            "print('scipy.signal' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
+class TestFigureFlags:
+    """Out-of-range and undefined rows of the figure bundles carry a flag."""
+
+    @staticmethod
+    def _rows(fig_id, tmp_path):
+        path = tmp_path / f"{fig_id}.csv"
+        assert cli.main(["figure", fig_id, "--samples", "20000", "--seed", "7",
+                         "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()[1:]
+        return [line.split(",") for line in lines]
+
+    def test_flag_scan(self, tmp_path):
+        counts = {"asymptotic": 0, "mc": 0, "tail-quadrature": 0}
+        for fig_id in ("fig6a", "fig12", "fig13"):
+            for _, metric, method, value, _, _, flags in self._rows(fig_id,
+                                                                    tmp_path):
+                flags = set(flags.split(";")) - {""}
+                value = float(value)
+                if method == "asymptotic":
+                    out = not 0.0 <= value <= 1.0
+                    assert ("asymptotic-out-of-regime" in flags) == out
+                    counts["asymptotic"] += out
+                if method == "mc":
+                    undefined = math.isnan(value)
+                    assert ("mc-no-transmission" in flags) == undefined
+                    counts["mc"] += undefined
+                if fig_id == "fig13":
+                    # the capped 2F1 sums are replaced by quadrature
+                    assert "truncation-cap" not in flags, metric
+                    counts["tail-quadrature"] += "tail-quadrature" in flags
+        assert counts == {"asymptotic": 35, "mc": 4, "tail-quadrature": 30}
