@@ -95,7 +95,7 @@ def rytov_turbulence_params(cn2: float, wavelength_m: float, length_m: float):
     return alpha_f, beta_f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointingGeometry:
     """Zero-boresight misalignment geometry of a Gaussian beam on a disk."""
 
@@ -140,7 +140,7 @@ class PointingGeometry:
         return self.beamwidth_m > 6.0 * self.aperture_radius_m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FsoLinkSpec:
     """Static FSO link parameters plus derived channel constants."""
 

@@ -41,7 +41,7 @@ D1 = 9.42
 PROBABILITY_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThzEnvironment:
     """Atmospheric state and RF geometry of the THz hop."""
 
@@ -130,7 +130,7 @@ def thz_path_gain(env: ThzEnvironment) -> float:
     return spreading * math.exp(-0.5 * env.distance_m * kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThzLinkSpec:
     """THz link parameters plus the alpha-mu/misalignment channel constants."""
 

@@ -40,6 +40,9 @@ _POINT_SEED_STRIDE = 1_000_003
 FLAG_ASYMPTOTIC_OUT_OF_REGIME = "asymptotic-out-of-regime"
 # a Monte Carlo estimate left undefined because no slot transmitted
 FLAG_MC_NO_TRANSMISSION = "mc-no-transmission"
+# the closed-form THz law carries the N_r-branch MRC sum as one alpha-mu
+# variate, which is exact only for alpha = 2
+FLAG_THZ_MRC_APPROX = "thz-mrc-approx"
 
 
 def _fmt(x: float) -> str:
@@ -65,9 +68,12 @@ def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
     point_cfg = cfg.with_sweep_value(sweep_value) if cfg.sweep else cfg
     spec = point_cfg.system_spec()
     mod = modulation if modulation is not None else point_cfg.modulation
+    thz_approx = spec.thz.alpha != 2.0 and spec.thz.n_rx > 1
     rows = []
     for link in links:
         name = _metric_name(command, link, label)
+        approx = ((FLAG_THZ_MRC_APPROX,)
+                  if thz_approx and link in ("thz", "hybrid", "e2e") else ())
         if "analytical" in methods:
             if command == "outage":
                 res = ma.outage_link(spec, link)
@@ -85,11 +91,11 @@ def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
             else:
                 res = ma.aber_link(spec, mod, link)
             rows.append(_row(sweep_value, name, "analytical", res.value,
-                             flags=res.flags))
+                             flags=res.flags.union(approx)))
         if "asymptotic" in methods and command == "outage":
             val = ma.asymptotic_outage(spec, link)
-            flags = (() if 0.0 <= val <= 1.0
-                     else (FLAG_ASYMPTOTIC_OUT_OF_REGIME,))
+            flags = approx + (() if 0.0 <= val <= 1.0
+                              else (FLAG_ASYMPTOTIC_OUT_OF_REGIME,))
             rows.append(_row(sweep_value, name, "asymptotic", val,
                              flags=flags))
         if "mc" in methods:

@@ -30,7 +30,6 @@ __all__ = [
     "load_config",
     "serialize_config",
     "bundled_config_path",
-    "default_config_text",
 ]
 
 # section -> key -> (type, required)
@@ -320,7 +319,3 @@ def bundled_config_path(name: str) -> str:
     if not candidate.is_file():
         raise ConfigError(f"no bundled config named {name!r}")
     return str(candidate)
-
-
-def default_config_text() -> str:
-    return resources.files("fsothz").joinpath("configs", "default.ini").read_text()

@@ -32,7 +32,6 @@ __all__ = [
     "upper_incomplete_gamma",
     "bessel_k",
     "erfc",
-    "gauss_2f1",
     "igamma_reduction_log",
     "meijer_g",
     "meijer_g_residue",
@@ -53,7 +52,7 @@ FLAG_CONTOUR_REFINE_CAP = "contour-refine-cap"
 INTEGER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelValue:
     """A numeric result plus any warning flags raised while computing it."""
 
@@ -203,27 +202,6 @@ def bessel_k(v: float, x: float) -> float:
 def erfc(x: float) -> float:
     """Complementary error function."""
     return math.erfc(x)
-
-
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              rel_tol: float = SERIES_REL_TOL,
-              max_terms: int = SERIES_MAX_TERMS) -> KernelValue:
-    """Gauss hypergeometric 2F1(a, b; c; z) for 0 <= z < 1 by power series."""
-    if c <= 0 and abs(c - round(c)) < INTEGER_TOL:
-        raise DomainError(f"gauss_2f1 requires c not a non-positive integer, got c={c}")
-    if not 0.0 <= z < 1.0:
-        raise DomainError(f"gauss_2f1 requires 0 <= z < 1, got z={z}")
-    term = 1.0
-    total = 1.0
-    flags = set()
-    for k in range(max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-        if abs(term) < rel_tol * abs(total):
-            break
-    else:
-        flags.add(FLAG_TRUNCATION_CAP)
-    return KernelValue(total, frozenset(flags))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HardPolicy:
     """Single-threshold selection: FSO preferred, THz backup."""
 
@@ -48,7 +48,7 @@ class HardPolicy:
         return SoftPolicy(self.gamma_th, self.gamma_th, self.gamma_th)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoftPolicy:
     """Dual FSO thresholds (hysteresis) plus one THz threshold."""
 

@@ -142,6 +142,40 @@ class TestRunCommand:
         assert row[3] == f"{float(row[3]):.9g}"
 
 
+class TestThzMrcFlag:
+    """Closed-form THz rows say when the single alpha-mu MRC law is inexact."""
+
+    @pytest.mark.parametrize("n_rx,flagged", [(2, ("thz", "hybrid", "e2e")),
+                                              (1, ())])
+    def test_flags_thz_dependent_rows(self, tmp_path, n_rx, flagged):
+        cfg = load_config(bundled_config_path("fig6a")).replaced(
+            "thz", alpha=2.5, n_rx=n_rx).replaced(
+            "sweep", start=20.0, stop=30.0, steps=2).replaced(
+            "simulation", samples=10_000)
+        path = tmp_path / "c.ini"
+        path.write_text(serialize_config(cfg))
+        for command in ("outage", "capacity"):
+            rc, out = run_cli(["run", command, "--config", str(path),
+                               "--method", "all"])
+            assert rc == 0
+            for _, metric, method, _, _, _, flags in _parse_csv(out):
+                want = method != "mc" and metric.split(":")[1] in flagged
+                assert (cli.FLAG_THZ_MRC_APPROX in flags.split(";")) == want, \
+                    (metric, method)
+
+    def test_presets_carry_no_flag(self):
+        # the flag depends on the point's THz spec and the link only, so
+        # the cheap THz outage rows of every point stand for all commands
+        for fig_id in FIGURE_IDS:
+            for job in figure_jobs(fig_id):
+                for payload in cli._sweep_payloads(
+                        job.config, "outage", ("analytical", "asymptotic"),
+                        ("thz",), 7, 1000, sweep_values=job.sweep_values):
+                    for row in cli._point_rows(*payload):
+                        assert cli.FLAG_THZ_MRC_APPROX not in row[6], \
+                            (fig_id, job.label)
+
+
 class TestDeterminism:
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = load_config(bundled_config_path("fig6a")).replaced(

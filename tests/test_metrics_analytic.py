@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -272,7 +273,7 @@ class TestAber:
         assert ma.aber_fso(0.0, spec, mod).value == pytest.approx(
             ma._aber_fso_full(spec, mod).value, rel=1e-12)
         assert ma.aber_access(0.0, spec, mod).value == pytest.approx(
-            ma._aber_access_full(spec, mod).value, rel=1e-12)
+            mod.a * _mp_access_oracle(spec, 0.0, 1.0), rel=1e-8, abs=0.0)
 
     def test_access_classical_rayleigh_bpsk(self):
         # m = 1, N_t = 1, threshold 0: (1 - sqrt(gbar/(1+gbar))) / 2
@@ -445,3 +446,107 @@ class TestAberUpperTail:
         assert ma.FLAG_TAIL_QUADRATURE in got.flags
         assert calls["pdf"] > 1
         assert calls["meijer_g_in_pdf"] == 0
+
+
+def _mp_access_oracle(spec, gamma_th, b=None):
+    """E[erfc(sqrt(b gamma)); gamma > gamma_th], or E[log2(1 + gamma); ...]
+    when ``b`` is None, for the Gamma(k, rate r) access SNR.
+
+    The density is integrated directly by ``mpmath.quad`` in
+    z = (r + b) gamma, where the integrand decays like e^-z: breakpoints
+    crowd the threshold and the z = 0 corner, follow the bulk of z^(k-1) e^-z
+    in half standard deviations, and double beyond.
+    """
+    with mpmath.workdps(20):
+        k = mpmath.mpf(spec.access.shape)
+        r = mpmath.mpf(spec.access.rate(spec.transmit_snr_db))
+        scale = r + (b or 0.0)
+        log_c = k * mpmath.log(r / scale) - mpmath.loggamma(k)
+        if b is None:
+            def weight(g):
+                return mpmath.log1p(g) / mpmath.log(2)
+        else:
+            def weight(g):
+                return mpmath.erfc(mpmath.sqrt(b * g))
+
+        def integrand(z):
+            if z == 0:
+                return mpmath.zero
+            return weight(z / scale) * mpmath.exp(
+                log_c + (k - 1) * mpmath.log(z) - r * z / scale)
+
+        z_th = float(scale * gamma_th)
+        sd = math.sqrt(float(k))
+        points = {z_th + 2.0 ** j for j in (-40, -30, -20, -10, -2, *range(10))}
+        points |= {float(k) - 1.0 + i * sd / 2.0 for i in range(-8, 25)}
+        points = [z_th] + sorted(p for p in points if p > z_th) + [mpmath.inf]
+        return float(mpmath.quad(integrand, points))
+
+
+# Gamma shapes k = m N_t: unit, half-integer and integer, up to the presets'
+# 15 and beyond.
+ACCESS_SHAPES = [(1.0, 1), (1.5, 1), (2.0, 2), (4.5, 1), (2.0, 3), (3.0, 5),
+                 (5.0, 4)]
+
+
+class TestAccessPositiveForms:
+    """Access ABER and capacity against direct integrals of the density.
+
+    Neither Craig's form nor integration by parts enters the oracle.  At
+    10 dB the fig13 BPSK access ABER used to be 20.7 times too large and at
+    0 dB the fig14b access capacities were cancellation residue (0 to
+    2.7e-15 where the truth is 1e-104 to 1e-20).
+    """
+
+    @pytest.mark.parametrize("m,n_tx", ACCESS_SHAPES,
+                             ids=[f"k{m * n:g}" for m, n in ACCESS_SHAPES])
+    def test_against_mpmath(self, m, n_tx):
+        bpsk, qam16 = Modulation.bpsk(), Modulation.mqam(16)
+        for snr in (0.0, 10.0, 30.0, 70.0):
+            spec = system_spec(snr_db=snr, m=m, n_tx=n_tx)
+            for gamma_th in (0.0, GTH_5DB):
+                at = (snr, gamma_th)
+                got = ma.capacity_access(gamma_th, spec)
+                assert got.value == pytest.approx(
+                    _mp_access_oracle(spec, gamma_th), rel=1e-8, abs=0.0), at
+                assert not got.flags
+                got = ma.aber_access(gamma_th, spec, bpsk)
+                assert got.value == pytest.approx(
+                    bpsk.a * _mp_access_oracle(spec, gamma_th, 1.0),
+                    rel=1e-8, abs=0.0), at
+                assert not got.flags
+            want = qam16.a * sum(_mp_access_oracle(spec, GTH_5DB, b)
+                                 for b in qam16.b_list)
+            assert ma.aber_access(GTH_5DB, spec, qam16).value == pytest.approx(
+                want, rel=1e-8, abs=0.0), snr
+
+    def test_negative_threshold_rejected(self):
+        spec = system_spec()
+        with pytest.raises(DomainError):
+            ma.capacity_access(-1.0, spec)
+        with pytest.raises(DomainError):
+            ma.aber_access(-1.0, spec, Modulation.bpsk())
+
+    def test_no_quadrature_or_meijer_g(self, monkeypatch):
+        calls = {"quad": 0, "meijer_g": 0}
+        quad, meijer_g = integrate.quad, specfun.meijer_g
+
+        def counted_quad(*args, **kwargs):
+            calls["quad"] += 1
+            return quad(*args, **kwargs)
+
+        def counted_meijer_g(*args):
+            calls["meijer_g"] += 1
+            return meijer_g(*args)
+
+        monkeypatch.setattr(integrate, "quad", counted_quad)
+        monkeypatch.setattr(specfun, "meijer_g", counted_meijer_g)
+        job = {j.label: j for j in figures.figure_jobs("fig13")}["bpsk"]
+        for snr in (0.0, 10.0):
+            spec = job.config.with_sweep_value(snr).system_spec()
+            ma.aber_access(spec.gamma_r_th, spec, Modulation.mqam(16))
+            ma.capacity_access(spec.gamma_r_th, spec)
+        assert calls == {"quad": 0, "meijer_g": 0}
+        for snr in (0.0, 30.0):         # the FSO tail: quadrature, Meijer-G
+            ma.aber_fso(GTH_5DB, system_spec(snr_db=snr), Modulation.bpsk())
+        assert calls["quad"] > 0 and calls["meijer_g"] > 0

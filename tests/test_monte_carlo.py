@@ -431,7 +431,6 @@ class TestFigureFlags:
                     assert ("mc-no-transmission" in flags) == undefined
                     counts["mc"] += undefined
                 if fig_id == "fig13":
-                    # the capped 2F1 sums are replaced by quadrature
                     assert "truncation-cap" not in flags, metric
                     counts["tail-quadrature"] += "tail-quadrature" in flags
-        assert counts == {"asymptotic": 35, "mc": 4, "tail-quadrature": 30}
+        assert counts == {"asymptotic": 35, "mc": 4, "tail-quadrature": 26}

@@ -148,35 +148,6 @@ class TestErfc:
         assert specfun.erfc(x) == pytest.approx(series, abs=1e-12)
 
 
-class TestGauss2F1:
-    def test_at_zero(self):
-        assert specfun.gauss_2f1(1.3, -0.7, 2.2, 0.0).value == 1.0
-
-    def test_log_reduction(self):
-        for z in (0.1, 0.5, 0.9):
-            want = -math.log(1.0 - z) / z
-            assert specfun.gauss_2f1(1.0, 1.0, 2.0, z).value == pytest.approx(
-                want, rel=1e-12)
-
-    def test_euler_integral_oracle(self):
-        # 2F1(a,b;c;z) = B(b, c-b)^-1 int t^(b-1)(1-t)^(c-b-1)(1-zt)^-a dt
-        a, b, c, z = 1.0, 4.5, 5.0, 0.3
-        integral, err = integrate.quad(
-            lambda t: t ** (b - 1.0) * (1.0 - t) ** (c - b - 1.0)
-            * (1.0 - z * t) ** (-a), 0.0, 1.0, limit=200, epsabs=1e-14,
-            epsrel=1e-13)
-        want = integral * math.gamma(c) / (math.gamma(b) * math.gamma(c - b))
-        assert err < 1e-11 * integral
-        assert specfun.gauss_2f1(a, b, c, z).value == pytest.approx(want,
-                                                                    rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            specfun.gauss_2f1(1.0, 1.0, -2.0, 0.5)
-        with pytest.raises(DomainError):
-            specfun.gauss_2f1(1.0, 1.0, 2.0, 1.0)
-
-
 def _mp_meijerg(spec):
     mpmath.mp.dps = 30
     val = mpmath.meijerg([list(spec.a_front), list(spec.a_back)],
@@ -275,7 +246,6 @@ def _capacity_identity_specs(z):
         "theta9": MeijerGSpec(rho5[:4], rho5[4:], rho6[:4], rho6[4:], z),
         "theta10": MeijerGSpec((1.0 - (XI2_T + 3.0) / alpha,), (1.0,),
                                (0.0, C2_T), (-(XI2_T + 3.0) / alpha,), z),
-        "theta11": None,  # plain 2F1, no Meijer-G involved
         "theta12": MeijerGSpec((1.0 - (mnt + 1.0),), (1.0,),
                                (0.0, 0.5), (-(mnt + 1.0),), z),
     }
@@ -294,8 +264,6 @@ class TestDualPathAgreement:
         compared = 0
         for z in np.geomspace(1e-6, 1e3, 7):
             spec = _capacity_identity_specs(float(z))[name]
-            if spec is None:
-                pytest.skip("identity uses 2F1 directly")
             prod = meijer_g(spec)
             try:
                 res = meijer_g_residue(spec)
