@@ -6,10 +6,15 @@ heterodyne detection and tau = 2 for IM/DD.  delta_tau = (P eta I_l)^tau /
 sigma^2 with unit noise variance, so the "transmit SNR" knob P/sigma^2 in dB
 is the only power input.
 
-The SNR CDF is a Meijer-G closed form and carries the engine's route flags.
-The density is the one-dimensional integral over the scintillation that
-conditions on I_a (see :func:`fso_snr_pdf`), evaluated by a fixed
-Gauss-Legendre rule without any Meijer-G call, so it carries no flags.
+Given the scintillation, u = ln I_a, the SNR is gamma_max(u) h^tau with
+gamma_max = delta_tau (A0 e^u)^tau and P(h <= x) = x^(xi^2), so the SNR laws
+are expectations over u of closed inner terms with positive integrands
+(Farid & Hranilovic, J. Lightwave Technol. 25(7), 2007).  One windowed
+Gauss-Legendre rule over u (:func:`_gg_rule`) carries the density, the
+ceiling rule behind the FSO ABER (:func:`fso_ceiling_rule`), and the CDF
+wherever its Meijer-G closed form would need the Mellin-Barnes contour;
+elsewhere the CDF is the Meijer-G residue series.  None of these carries a
+Meijer-G route flag.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 from scipy import optimize, special
 
 from . import specfun
-from .errors import DomainError, NumericalIntegrityError
+from .errors import (DomainError, MeijerGUnsupportedError,
+                     NumericalIntegrityError)
 
 __all__ = [
     "PointingGeometry",
@@ -32,6 +38,7 @@ __all__ = [
     "rytov_turbulence_params",
     "fso_snr_pdf",
     "fso_snr_cdf",
+    "fso_ceiling_rule",
 ]
 
 # CDF/PDF excursions beyond [0,1] larger than this are treated as numerical
@@ -49,11 +56,21 @@ PDF_SCAN_RATIO = 1.5
 PDF_SCAN_LIMIT = 2000.0
 PDF_PANELS = 4
 PDF_NODES = 32
+# ln of the largest kve(nu, z) the rule evaluates at small z, where it grows
+# like (2 / z)^|nu|
+PDF_KVE_LOG_MAX = 700.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PDF_NODES)
 # the composite rule on [0, 1]: PDF_PANELS equal panels, one array of nodes
 _UNIT_NODES = ((np.arange(PDF_PANELS)[:, None] + 0.5 + 0.5 * _GL_NODES)
                / PDF_PANELS).ravel()
 _UNIT_WEIGHTS = np.tile(_GL_WEIGHTS, PDF_PANELS) / (2.0 * PDF_PANELS)
+
+FLAG_BEAMWIDTH_VALIDITY = "beamwidth-validity"
+_NO_FLAGS = frozenset()
+_BEAMWIDTH_FLAGS = frozenset({FLAG_BEAMWIDTH_VALIDITY})
+# residue-series flags on which the Meijer-G engine would take the contour
+_CONTOUR_FLAGS = frozenset({specfun.FLAG_TRUNCATION_CAP,
+                            specfun.FLAG_RESIDUE_ILL_CONDITIONED})
 
 
 def attenuation_coefficient_per_km(visibility_km: float, wavelength_m: float) -> float:
@@ -199,13 +216,14 @@ def _cdf_blocks(spec: FsoLinkSpec):
 
 
 def _log_gg_offset(s, z0: float, log_k0: float, slope: float, nu: float):
-    """ln of the conditional integrand at offsets ``s`` >= 0 from ln c.
+    """ln of the conditional integrand at offsets ``s`` = u - ln c.
 
-    With z = z0 e^(s/2) this is ln[f_Ia(e^u) e^u e^(-xi^2 s)] minus its
-    value at s = 0, where f_Ia(a) is proportional to
-    a^((al+be)/2 - 1) K_nu(2 sqrt(al be a)); ``slope`` = (al+be)/2 - xi^2.
-    Written on kve and expm1 so that offsets far below the unit in ln c keep
-    their precision.  Beyond the range of z the log is -inf.
+    With z = z0 e^(s/2) this is ln[f_Ia(e^u) e^u e^(-r s)] minus its value
+    at s = 0, where f_Ia(a) is proportional to a^((al+be)/2 - 1)
+    K_nu(2 sqrt(al be a)) and ``slope`` = (al+be)/2 - r (an array where the
+    rate r differs on the two sides of ln c).  Written on kve and expm1 so
+    that offsets far below the unit in ln c keep their precision.  Beyond
+    the range of z the log is -inf.
     """
     with np.errstate(over="ignore", divide="ignore"):
         z = z0 * np.exp(0.5 * s)
@@ -239,6 +257,93 @@ def _level_offset(log_f, origin: float, step: float, limit: float,
     return float(dist[int(np.argmax(below))] if below.any() else limit)
 
 
+def _log_c(gamma: float, spec: FsoLinkSpec, transmit_snr_db: float) -> float:
+    """ln c, the ln I_a at which the pointing-free SNR delta (A0 I_a)^tau is gamma."""
+    return (math.log(gamma / spec.delta_tau(transmit_snr_db)) / spec.detection_tau
+            - math.log(spec.pointing.a0))
+
+
+def _gg_rule(spec: FsoLinkSpec, log_c: float, lo: float, hi: float,
+             xi2: float, log_factor: float = 0.0):
+    """Gauss-Legendre rule for a Gamma-Gamma expectation over u = ln I_a.
+
+    In offsets s = u - ln c, with ``lo`` in [-inf, 0] and ``hi`` 0 or inf,
+    the rule integrates
+
+        e^log_factor int_lo^hi f_Ia(e^u) e^u e^(-xi2 s_+) h(u) ds
+
+    as e^log_scale * span * dot(_UNIT_WEIGHTS, e * h(ln c + s)) and returns
+    (s, e, span, log_scale).  The integrand with h = 1 is log-concave in u.
+    Its maximum is an end of [lo, hi], the kink at s = 0, or the root of the
+    log-derivative on one side of it (beta - xi2 [s > 0] - z R / 2); the
+    interval where it lies within PDF_LOG_RANGE of that maximum is found by
+    a geometric scan out of the maximum, and PDF_PANELS panels cover it.
+    """
+    al, be = spec.alpha_f, spec.beta_f
+    nu = al - be
+    z0 = 2.0 * math.sqrt(al * be) * math.exp(0.5 * log_c)
+    log_k0 = math.log(special.kve(nu, z0))
+    slope_below, slope_above = 0.5 * (al + be), 0.5 * (al + be) - xi2
+
+    def log_f(s):
+        return _log_gg_offset(s, z0, log_k0,
+                              np.where(s > 0.0, slope_above, slope_below), nu)
+
+    # below this offset kve(nu, z), which grows like (2 / z)^|nu|, would
+    # leave the double range
+    floor = 2.0 * (math.log(2.0 / z0) - PDF_KVE_LOG_MAX / max(abs(nu), 1.0))
+    lo = max(lo, min(floor, 0.0))
+    peak = 0.0
+    rise = fall = 0.0
+    curv = 0.0
+    if hi > 0.0:
+        fall, curv = _log_gg_derivatives(0.0, z0, nu, be - xi2)
+        if fall > 0.0:
+            # rising beyond ln c: the maximum is interior, and below
+            # z = 2 (al + be) + 2, where z R / 2 exceeds beta for any nu
+            top = 2.0 * math.log((2.0 * (al + be) + 2.0) / z0)
+            peak = optimize.brentq(
+                lambda s: _log_gg_derivatives(s, z0, nu, be - xi2)[0], 0.0, top,
+                xtol=1e-9, rtol=1e-12)
+            fall, curv = _log_gg_derivatives(peak, z0, nu, be - xi2)
+            rise = fall
+    if lo < 0.0 and peak == 0.0:
+        rise, curv = _log_gg_derivatives(0.0, z0, nu, be)
+        if rise < 0.0:
+            # falling into ln c: the density's mode lies below it
+            peak, rise = lo, 0.0
+            fall, curv = _log_gg_derivatives(lo, z0, nu, be)
+            if fall > 0.0:
+                peak = optimize.brentq(
+                    lambda s: _log_gg_derivatives(s, z0, nu, be)[0], lo, 0.0,
+                    xtol=1e-9, rtol=1e-12)
+                fall, curv = _log_gg_derivatives(peak, z0, nu, be)
+                rise = fall
+    # distance over which a linear or quadratic fall loses PDF_LOG_RANGE
+    width = min(PDF_LOG_RANGE / -fall if fall < 0.0 else math.inf,
+                PDF_LOG_RANGE / rise if rise > 0.0 else math.inf,
+                math.sqrt(2.0 * PDF_LOG_RANGE / -curv) if curv < 0.0 else math.inf,
+                PDF_SCAN_LIMIT)
+    log_peak = float(log_f(np.array([peak]))[0])
+    threshold = log_peak - PDF_LOG_RANGE
+    step = 1e-2 * width
+    b = a = peak
+    if hi > peak:
+        b = peak + _level_offset(log_f, peak, step,
+                                 min(hi - peak, PDF_SCAN_LIMIT), threshold)
+    if peak > lo:
+        a = peak - _level_offset(log_f, peak, -step,
+                                 min(peak - lo, PDF_SCAN_LIMIT), threshold)
+    span = b - a
+    s = a + span * _UNIT_NODES
+    e = np.exp(log_f(s) - log_peak)
+    log_norm = (math.log(2.0) + 0.5 * (al + be) * math.log(al * be)
+                - math.lgamma(al) - math.lgamma(be))
+    log_scale = (log_factor + log_norm
+                 + 0.5 * (al + be) * log_c + log_k0 - z0 + log_peak)
+    return s, e, span, log_scale
+
+
 def fso_snr_pdf(gamma: float, spec: FsoLinkSpec,
                 transmit_snr_db: float) -> specfun.KernelValue:
     """Density of the FSO SNR at ``gamma`` > 0.
@@ -248,65 +353,85 @@ def fso_snr_pdf(gamma: float, spec: FsoLinkSpec,
     Gamma-Gamma density f_Ia and c = (gamma / delta_tau)^(1/tau) / A0:
 
         f(gamma) = xi^2 / (tau gamma) * int_{ln c}^inf
-                   f_Ia(e^u) e^u e^(-xi^2 (u - ln c)) du.
+                   f_Ia(e^u) e^u e^(-xi^2 (u - ln c)) du,
 
-    The integrand is log-concave in u.  Its maximum sits at u = ln c or at
-    the root of its log-derivative above ln c; the interval where it lies
-    within PDF_LOG_RANGE of that maximum is found by a geometric scan out
-    of the maximum, and a fixed Gauss-Legendre rule of PDF_PANELS panels
-    covers it.
+    on the windowed rule of :func:`_gg_rule`.
     """
     if not gamma > 0:
         raise DomainError(f"fso_snr_pdf requires gamma > 0, got {gamma}")
-    tau = spec.detection_tau
     xi2 = spec.pointing.xi ** 2
-    al, be = spec.alpha_f, spec.beta_f
-    nu = al - be
-    log_c = (math.log(gamma / spec.delta_tau(transmit_snr_db)) / tau
-             - math.log(spec.pointing.a0))
-    z0 = 2.0 * math.sqrt(al * be) * math.exp(0.5 * log_c)
-    log_k0 = math.log(special.kve(nu, z0))
-
-    def log_f(s):
-        return _log_gg_offset(s, z0, log_k0, 0.5 * (al + be) - xi2, nu)
-
-    peak = 0.0
-    slope, curv = _log_gg_derivatives(0.0, z0, nu, be - xi2)
-    if slope > 0.0:
-        # rising at ln c: the maximum is interior, and below
-        # z = 2 (al + be) + 2, where z R / 2 exceeds beta for any nu
-        top = 2.0 * math.log((2.0 * (al + be) + 2.0) / z0)
-        peak = optimize.brentq(
-            lambda s: _log_gg_derivatives(s, z0, nu, be - xi2)[0], 0.0, top,
-            xtol=1e-9, rtol=1e-12)
-        slope, curv = _log_gg_derivatives(peak, z0, nu, be - xi2)
-    # distance over which a linear or quadratic fall loses PDF_LOG_RANGE
-    width = min(PDF_LOG_RANGE / -slope if slope < 0.0 else math.inf,
-                math.sqrt(2.0 * PDF_LOG_RANGE / -curv) if curv < 0.0 else math.inf,
-                PDF_SCAN_LIMIT)
-    log_peak = float(log_f(np.array([peak]))[0])
-    threshold = log_peak - PDF_LOG_RANGE
-    step = 1e-2 * width
-    hi = peak + _level_offset(log_f, peak, step, PDF_SCAN_LIMIT, threshold)
-    lo = 0.0
-    if peak > 0.0:
-        lo = peak - _level_offset(log_f, peak, -step, peak, threshold)
-    area = (hi - lo) * float(np.dot(
-        _UNIT_WEIGHTS, np.exp(log_f(lo + (hi - lo) * _UNIT_NODES) - log_peak)))
-    log_norm = (math.log(2.0) + 0.5 * (al + be) * math.log(al * be)
-                - math.lgamma(al) - math.lgamma(be))
-    log_value = (math.log(xi2 / (tau * gamma)) + log_norm
-                 + 0.5 * (al + be) * log_c + log_k0 - z0 + log_peak)
-    value = math.exp(log_value) * area
+    _, e, span, log_scale = _gg_rule(
+        spec, _log_c(gamma, spec, transmit_snr_db), 0.0, math.inf, xi2,
+        math.log(xi2 / (spec.detection_tau * gamma)))
+    value = math.exp(log_scale) * (span * float(np.dot(_UNIT_WEIGHTS, e)))
     if not (value >= 0.0 and math.isfinite(value)):
         raise NumericalIntegrityError(
             f"fso_snr_pdf produced density {value} at gamma={gamma}")
     return specfun.KernelValue(value)
 
 
+def fso_ceiling_rule(gamma_lo: float, gamma_knee: float, spec: FsoLinkSpec,
+                     transmit_snr_db: float):
+    """Rule over the scintillation for the pointing-free SNR ceiling.
+
+    Given I_a the SNR is gamma_max h^tau with gamma_max = delta (A0 I_a)^tau
+    and P(h <= x) = x^(xi^2), so P(gamma <= g | I_a) = min(1, (g /
+    gamma_max)^k), k = xi^2 / tau.  Returns (gamma_max, w) with
+
+        E[g(gamma_max); gamma_max > gamma_lo] ~ sum(w * g(gamma_max))
+
+    for any smooth g that falls no slower than min(1, (gamma_knee /
+    gamma_max)^k); the window is that of this envelope (``gamma_lo`` = 0
+    starts it in the left tail of the Gamma-Gamma density).
+    """
+    if gamma_lo < 0 or not gamma_knee > 0:
+        raise DomainError(
+            "fso_ceiling_rule requires gamma_lo >= 0 and gamma_knee > 0")
+    ref = max(gamma_lo, gamma_knee)
+    tau = spec.detection_tau
+    lo = math.log(gamma_lo / ref) / tau if gamma_lo > 0.0 else -math.inf
+    xi2 = spec.pointing.xi ** 2
+    s, e, span, log_scale = _gg_rule(
+        spec, _log_c(ref, spec, transmit_snr_db), lo, math.inf, xi2)
+    w = (math.exp(log_scale) * span * _UNIT_WEIGHTS * e
+         * np.exp(xi2 * np.maximum(s, 0.0)))
+    return ref * np.exp(tau * s), w
+
+
+def _cdf_by_scintillation(gamma: float, spec: FsoLinkSpec,
+                          transmit_snr_db: float) -> float:
+    """P(gamma_F <= gamma) = E[min(1, (c / I_a)^(xi^2))] from positive terms.
+
+    The survival 1 - F = E[1 - (c / I_a)^(xi^2); I_a > c] is taken first;
+    where it is below one half F is 1 minus it, correct to the rounding of
+    F.  Otherwise F = F_Ia(c) + E[(c / I_a)^(xi^2); I_a > c], i.e. F_Ia(c)
+    + tau gamma f(gamma) / xi^2.  Every term runs on :func:`_gg_rule`.
+    """
+    log_c = _log_c(gamma, spec, transmit_snr_db)
+    xi2 = spec.pointing.xi ** 2
+
+    def expectation(lo, hi, rate, h=None):
+        s, e, span, log_scale = _gg_rule(spec, log_c, lo, hi, rate)
+        if h is not None:
+            e = e * h(s)
+        return math.exp(log_scale) * (span * float(np.dot(_UNIT_WEIGHTS, e)))
+
+    survival = expectation(0.0, math.inf, 0.0, lambda s: -np.expm1(-xi2 * s))
+    if survival < 0.5:
+        return 1.0 - survival
+    return expectation(-math.inf, 0.0, 0.0) + expectation(0.0, math.inf, xi2)
+
+
 def fso_snr_cdf(gamma: float, spec: FsoLinkSpec,
                 transmit_snr_db: float) -> specfun.KernelValue:
-    """P(gamma_F <= gamma) for either detection type."""
+    """P(gamma_F <= gamma) for either detection type.
+
+    The Meijer-G closed form by its residue series where that converges
+    unflagged; where it would need the Mellin-Barnes contour (a logarithmic
+    pole layout, a series that raises, or one flagged ``truncation-cap`` or
+    ``residue-ill-conditioned``) the scintillation-conditioned form of
+    :func:`_cdf_by_scintillation` instead.
+    """
     if gamma < 0:
         raise DomainError(f"fso_snr_cdf requires gamma >= 0, got {gamma}")
     if gamma == 0.0:
@@ -315,14 +440,18 @@ def fso_snr_cdf(gamma: float, spec: FsoLinkSpec,
     rho1, rho2, d1, d2 = _cdf_blocks(spec)
     delta = spec.delta_tau(transmit_snr_db)
     z = d2 * gamma / (spec.pointing.a0 ** tau * delta)
-    g = specfun.meijer_g(specfun.MeijerGSpec(
-        a_front=(1.0,), a_back=rho1, b_front=rho2, b_back=(0.0,), z=z))
-    value = d1 * g.value
+    try:
+        g = specfun.meijer_g_residue(specfun.MeijerGSpec(
+            a_front=(1.0,), a_back=rho1, b_front=rho2, b_back=(0.0,), z=z))
+    except MeijerGUnsupportedError:
+        g = None
+    if g is None or g.flags & _CONTOUR_FLAGS:
+        value = _cdf_by_scintillation(gamma, spec, transmit_snr_db)
+    else:
+        value = d1 * g.value
     if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
         raise NumericalIntegrityError(
             f"fso_snr_cdf produced {value} at gamma={gamma}, "
             f"transmit SNR {transmit_snr_db} dB")
-    flags = g.flags
-    if not spec.pointing.beamwidth_valid:
-        flags = flags | frozenset({"beamwidth-validity"})
+    flags = _NO_FLAGS if spec.pointing.beamwidth_valid else _BEAMWIDTH_FLAGS
     return specfun.KernelValue(min(max(value, 0.0), 1.0), flags)

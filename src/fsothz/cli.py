@@ -7,7 +7,10 @@ Output schema (one header row, 9 significant digits, deterministic order):
 ``metric`` is command:link with an optional case label, ``flags`` a
 semicolon-joined token list (truncation, validity and approximation
 warnings).  Exit codes: 0 success, 2 configuration error, 3 numerical
-integrity failure (the failing operation is named on stderr).
+integrity failure (the failing operation is named on stderr), which
+includes an analytical outage outside [0, 1], an ABER outside [0, A n0]
+or a capacity that is negative or not finite; asymptotic rows are flagged
+instead.
 """
 
 from __future__ import annotations
@@ -60,6 +63,20 @@ def _metric_name(command: str, link: str, label: str) -> str:
     return f"{command}:{link}" + (f":{label}" if label else "")
 
 
+def _check_range(command: str, name: str, value: float, sweep_value: float,
+                 mod: ma.Modulation) -> None:
+    """Refuse an analytical value outside its range instead of printing it."""
+    if command == "outage":
+        ok, span = 0.0 <= value <= 1.0, "[0, 1]"
+    elif command == "capacity":
+        ok, span = 0.0 <= value < math.inf, "[0, inf)"
+    else:
+        ok, span = 0.0 <= value <= mod.a * mod.n0, f"[0, A n0 = {mod.a * mod.n0:g}]"
+    if not ok:
+        raise NumericalIntegrityError(
+            f"{name} = {value!r} at sweep value {sweep_value:g} lies outside {span}")
+
+
 def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
                 links: tuple, sweep_value: float, seed: int, samples: int,
                 label: str = "", capacity_variant: str = "",
@@ -90,6 +107,7 @@ def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
                     res = ma.capacity_link(spec, link)
             else:
                 res = ma.aber_link(spec, mod, link)
+            _check_range(command, name, res.value, sweep_value, mod)
             rows.append(_row(sweep_value, name, "analytical", res.value,
                              flags=res.flags.union(approx)))
         if "asymptotic" in methods and command == "outage":

@@ -9,6 +9,7 @@ identical, so files round-trip through the internal representation.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 from dataclasses import dataclass
 from importlib import resources
@@ -270,6 +271,16 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return out.getvalue()
 
 
+@functools.lru_cache(maxsize=256)
+def _shared(spec):
+    """The first-built instance equal to the frozen sub-spec ``spec``.
+
+    No link spec or policy depends on the transmit SNR, so the points of a
+    sweep, which differ only in it, share one instance of each.
+    """
+    return spec
+
+
 def build_system_spec(cfg: ScenarioConfig,
                       transmit_snr_db: Optional[float] = None) -> SystemSpec:
     f = cfg.sections["fso"]
@@ -309,7 +320,8 @@ def build_system_spec(cfg: ScenarioConfig,
     gamma_r_th = 10.0 ** (sw["gamma_r_th_db"] / 10.0)
     snr = (transmit_snr_db if transmit_snr_db is not None
            else cfg.sections["simulation"]["transmit_snr_db"])
-    return SystemSpec(fso=fso, thz=thz, access=access, policy=policy,
+    return SystemSpec(fso=_shared(fso), thz=_shared(thz),
+                      access=_shared(access), policy=_shared(policy),
                       gamma_r_th=gamma_r_th, transmit_snr_db=snr)
 
 

@@ -1,13 +1,15 @@
 """Closed-form outage, diversity, ergodic-capacity and ABER expressions.
 
-The FSO and THz metrics compose their link SNR laws through Meijer-G
-identities; their alternating lower-tail series carry the shared truncation
-policy and switch to quadrature where cancellation would dominate
-(erfc-series arguments beyond 25).  The access hop is Gamma distributed,
-and its capacity and ABER above threshold are evaluated on forms whose
-integrand is never negative: integration by parts against the incomplete
-gamma survival, and Craig's form of erfc.  Every routine here has a
-direct-quadrature counterpart in the test suite acting as the master oracle.
+The FSO and THz capacities and the THz ABER compose their link SNR laws
+through Meijer-G identities; their alternating lower-tail series carry the
+shared truncation policy and switch to quadrature where cancellation would
+dominate (erfc-series arguments beyond 25).  The FSO ABER above threshold
+and the access hop's capacity and ABER are evaluated on forms whose
+integrand is never negative: Craig's form of erfc on the FSO SNR given the
+scintillation, and for the Gamma-distributed access SNR integration by
+parts against the incomplete gamma survival and Craig's form again.  Every
+routine here has a direct-quadrature counterpart in the test suite acting
+as the master oracle.
 """
 
 from __future__ import annotations
@@ -80,10 +82,13 @@ _CRAIG_INV_SIN2 = 1.0 / np.sin(math.pi / 4.0 * (_CRAIG_NODES + 1.0)) ** 2
 _CAPACITY_EDGES = np.concatenate(([0.0], 4.0 ** np.arange(-12, -2),
                                   np.arange(1, 17) / 16.0))
 _CAPACITY_NODES, _CAPACITY_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# terms of the positive series of the FSO ABER's lower incomplete moment
+LOWER_MOMENT_TERMS = 30
 
 FLAG_TAIL_QUADRATURE = "tail-quadrature"
 FLAG_LOW_SNR_CAPACITY = "capacity-low-snr-approx"
 FLAG_NONINT_ALPHA = "noninteger-alpha-quadrature"
+_NO_FLAGS = frozenset()
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,12 @@ class SystemSpec:
 
 
 def _merge(value: float, *parts: KernelValue) -> KernelValue:
-    flags = frozenset().union(*(p.flags for p in parts)) if parts else frozenset()
+    """``value`` with the union of the parts' flags; a part's flag set is
+    reused, not copied, wherever it already holds all the others."""
+    flags = _NO_FLAGS
+    for part in parts:
+        if not part.flags <= flags:
+            flags = part.flags if flags <= part.flags else flags | part.flags
     return KernelValue(value, flags)
 
 
@@ -692,24 +702,6 @@ def _require_tau_match(spec: SystemSpec, mod: Modulation) -> None:
             f"spec has tau={spec.fso.detection_tau}")
 
 
-def _aber_fso_full(spec: SystemSpec, mod: Modulation) -> KernelValue:
-    """Threshold-free FSO ABER: sum over p of A * int erfc(sqrt(B_p g)) f(g) dg."""
-    fso = spec.fso
-    tau = fso.detection_tau
-    rho1, rho2, d1, d2 = channel_fso._cdf_blocks(fso)
-    delta = fso.delta_tau(spec.transmit_snr_db)
-    total = 0.0
-    flags = set()
-    for b in mod.b_list:
-        z = d2 / (b * fso.pointing.a0 ** tau * delta)
-        g = specfun.meijer_g(specfun.MeijerGSpec(
-            a_front=(1.0, 0.5), a_back=rho1,
-            b_front=rho2, b_back=(0.0,), z=z))
-        total += mod.a * d1 / math.sqrt(math.pi) * g.value
-        flags |= g.flags
-    return KernelValue(total, frozenset(flags))
-
-
 def _quad_aber_upper(pdf, gamma_th: float, mod: Modulation) -> KernelValue:
     """A * int_th^inf erfc(sqrt(B_p g)) f(g) dg summed over p, by quadrature.
 
@@ -726,68 +718,76 @@ def _quad_aber_upper(pdf, gamma_th: float, mod: Modulation) -> KernelValue:
     return KernelValue(val, frozenset({FLAG_TAIL_QUADRATURE}))
 
 
-def _aber_fso_lower(gamma_th: float, spec: SystemSpec,
-                    mod: Modulation) -> KernelValue | None:
-    """A * int_0^th erfc(sqrt(B_p g)) f(g) dg summed over p (erfc series form).
+def _lower_moment(k: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(k+1) x^-k P(k, x), i.e. E[e^(-x V)] for V with density
+    k v^(k-1) on (0, 1).
 
-    None where the series cannot be trusted: beyond its argument bounds or
-    when an inner Meijer-G evaluation hits its refinement cap.
+    Below max(1, (k+1)/4) this is e^-x sum_n x^n / ((k+1)...(k+n)), a
+    series of positive terms, each at most a quarter (or 1/n) of the one
+    before, summed to LOWER_MOMENT_TERMS terms; above it the regularized
+    gamma cannot underflow for k below about 1000.
     """
-    fso = spec.fso
-    tau = fso.detection_tau
-    rho1, rho2, d1, d2 = channel_fso._cdf_blocks(fso)
-    zth = d2 * gamma_th / (fso.pointing.a0 ** tau
-                           * fso.delta_tau(spec.transmit_snr_db))
-    if (max(mod.b_list) * gamma_th > ERFC_SERIES_MAX_ARG
-            or zth > LOWER_SERIES_MAX_Z):
-        return None
-    cdf_g = specfun.meijer_g(specfun.MeijerGSpec(
-        a_front=(1.0,), a_back=rho1, b_front=rho2, b_back=(0.0,), z=zth))
-    flags = set(cdf_g.flags)
-    total = 0.0
-    for b in mod.b_list:
-        series = 0.0
-        coeff = 2.0 / math.sqrt(math.pi)
-        for j in range(specfun.SERIES_MAX_TERMS):
-            ex = (2 * j + 1) / 2.0
-            g = specfun.meijer_g(specfun.MeijerGSpec(
-                a_front=(1.0 - ex,), a_back=rho1,
-                b_front=rho2, b_back=(-ex,), z=zth))
-            if g.flags & {specfun.FLAG_CONTOUR_REFINE_CAP}:
-                return None
-            term = coeff * (b * gamma_th) ** ex / (2 * j + 1) * g.value
-            series += term
-            flags |= g.flags
-            if abs(term) < specfun.SERIES_REL_TOL * max(abs(series), 1e-300):
-                break
-            coeff *= -1.0 / (j + 1.0)
-        else:
-            flags.add(specfun.FLAG_TRUNCATION_CAP)
-        total += mod.a * d1 * (cdf_g.value - series)
-    return KernelValue(total, frozenset(flags))
+    out = np.empty_like(x)
+    small = x < max(1.0, 0.25 * (k + 1.0))
+    xs = x[small]
+    acc = np.ones_like(xs)
+    for n in range(LOWER_MOMENT_TERMS, 0, -1):
+        acc = 1.0 + acc * xs / (k + n)
+    out[small] = np.exp(-xs) * acc
+    xl = x[~small]
+    out[~small] = (np.exp(math.lgamma(k + 1.0) - k * np.log(xl))
+                   * special.gammainc(k, xl))
+    return out
+
+
+def _upper_moment(k: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(k+1) x^-k Q(k, x), for x > k."""
+    return np.exp(math.lgamma(k + 1.0) - k * np.log(x)) * special.gammaincc(k, x)
 
 
 def aber_fso(gamma_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
-    """Average BER of the FSO link conditioned on transmission above gamma_th.
+    """FSO error mass above gamma_th, A sum_p E[erfc(sqrt(B_p gamma)); gamma >
+    gamma_th]: the FSO term of the hybrid ABER numerator.
 
-    The lower-tail term enters with a minus sign (the two pieces are the
-    full-range average and the below-threshold average); the composition in
-    the source prints them with a plus, which double-counts the tail.
-    Where the lower-tail series cannot be trusted, the part above the
-    threshold is integrated directly and flagged ``tail-quadrature``.
+    Given u = ln I_a the SNR is gamma_max h^tau, with P(gamma <= g | u) =
+    (g / gamma_max)^k, k = xi^2 / tau, below gamma_max = delta (A0 e^u)^tau.
+    Craig's form erfc(sqrt(B g)) = (2/pi) int_0^{pi/2} e^(-s g) dtheta, with
+    s = B / sin^2 theta, leaves the truncated moment
+
+        E[e^(-s gamma); gamma_th < gamma <= gamma_max | u]
+            = Gamma(k+1) (s gamma_max)^-k [P(k, s gamma_max) - P(k, s gamma_th)]
+
+    for gamma_max > gamma_th, taken as a difference of Q where s gamma_th
+    > k, so that no two nearly equal terms cancel; every term is positive.
+    The expectation over u runs on :func:`channel_fso.fso_ceiling_rule`,
+    windowed on the envelope min(1, (gamma_knee / gamma_max)^k) with
+    gamma_knee = Gamma(k+1)^(1/k) / min_p B_p, and theta on the 64-node rule
+    of :func:`aber_access`.  (The source composes this term as the
+    full-range average plus the below-threshold one; the sign is a minus,
+    and this form needs neither.)
     """
     _require_tau_match(spec, mod)
     if gamma_th < 0:
         raise DomainError("gamma_th must be >= 0")
-    if gamma_th == 0.0:
-        return _aber_fso_full(spec, mod)
-    lower = _aber_fso_lower(gamma_th, spec, mod)
-    if lower is None:
-        return _quad_aber_upper(
-            lambda g: channel_fso.fso_snr_pdf(g, spec.fso, spec.transmit_snr_db).value,
-            gamma_th, mod)
-    full = _aber_fso_full(spec, mod)
-    return _merge(max(full.value - lower.value, 0.0), full, lower)
+    fso = spec.fso
+    k = fso.pointing.xi ** 2 / fso.detection_tau
+    b = np.array(mod.b_list)
+    knee = math.exp(math.lgamma(k + 1.0) / k) / float(b.min())
+    gmax, w = channel_fso.fso_ceiling_rule(gamma_th, knee, fso,
+                                           spec.transmit_snr_db)
+    s = (b[:, None] * _CRAIG_INV_SIN2).reshape(-1, 1)
+    x_max = s * gmax
+    x_th = s * gamma_th
+    r_k = (gamma_th / gmax) ** k
+    low = x_th[:, 0] <= k
+    term = np.empty_like(x_max)
+    term[low] = (_lower_moment(k, x_max[low])
+                 - r_k * _lower_moment(k, x_th[low]))
+    term[~low] = (r_k * _upper_moment(k, x_th[~low])
+                  - _upper_moment(k, x_max[~low]))
+    moments = (term @ w).reshape(len(b), -1)
+    return KernelValue(2.0 * mod.a / math.pi
+                       * float(np.sum(moments @ _CRAIG_WEIGHTS)))
 
 
 def _aber_thz_full(spec: SystemSpec, mod: Modulation) -> KernelValue:

@@ -28,10 +28,8 @@ from .errors import DomainError, MeijerGUnsupportedError
 __all__ = [
     "KernelValue",
     "MeijerGSpec",
-    "ln_gamma",
     "upper_incomplete_gamma",
     "bessel_k",
-    "erfc",
     "igamma_reduction_log",
     "meijer_g",
     "meijer_g_residue",
@@ -69,13 +67,6 @@ class KernelValue:
 # ---------------------------------------------------------------------------
 # Elementary kernels
 # ---------------------------------------------------------------------------
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the complete Gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
     """Upper incomplete Gamma(a, x).
@@ -197,11 +188,6 @@ def bessel_k(v: float, x: float) -> float:
     if not x > 0:
         raise DomainError(f"bessel_k requires x > 0, got {x}")
     return float(sp.kv(v, x))
-
-
-def erfc(x: float) -> float:
-    """Complementary error function."""
-    return math.erfc(x)
 
 
 # ---------------------------------------------------------------------------

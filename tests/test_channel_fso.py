@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fsothz import specfun
+from fsothz import channel_fso, figures, specfun
 from fsothz.channel_fso import (PointingGeometry, attenuation,
                                 attenuation_coefficient_per_km, fso_snr_cdf,
                                 fso_snr_pdf, rytov_turbulence_params)
-from fsothz.errors import DomainError
+from fsothz.errors import DomainError, MeijerGUnsupportedError
 
 from conftest import fso_spec
 
@@ -157,6 +157,98 @@ class TestPdfAgainstMpmath:
     def test_no_meijer_g_flags(self):
         spec = fso_spec(cn2=5e-13)
         assert fso_snr_pdf(50.0, spec, 5.3).flags == frozenset()
+
+
+def _mpmath_cdf(gamma, spec, snr_db):
+    """P(I_a I_p <= A0 c) as G^{3,1}_{2,4}, by mpmath at 30 digits."""
+    tau = spec.detection_tau
+    with mpmath.workdps(30):
+        xi2 = mpmath.mpf(spec.pointing.xi) ** 2
+        al, be = mpmath.mpf(spec.alpha_f), mpmath.mpf(spec.beta_f)
+        z = (al * be / spec.pointing.a0
+             * (mpmath.mpf(gamma) / spec.delta_tau(snr_db)) ** (mpmath.mpf(1) / tau))
+        g = mpmath.meijerg([[1], [xi2 + 1]], [[xi2, al, be], [0]], z)
+        return float(xi2 / (mpmath.gamma(al) * mpmath.gamma(be)) * g)
+
+
+def _residue_cdf(gamma, spec, snr_db):
+    """The residue-series CDF, or None where the Meijer-G engine would
+    leave it for the contour (it raises or is flagged)."""
+    tau = spec.detection_tau
+    rho1, rho2, d1, d2 = channel_fso._cdf_blocks(spec)
+    z = d2 * gamma / (spec.pointing.a0 ** tau * spec.delta_tau(snr_db))
+    try:
+        g = specfun.meijer_g_residue(
+            specfun.MeijerGSpec((1.0,), rho1, rho2, (0.0,), z))
+    except MeijerGUnsupportedError:
+        return None
+    if g.flags & {specfun.FLAG_TRUNCATION_CAP,
+                  specfun.FLAG_RESIDUE_ILL_CONDITIONED}:
+        return None
+    return d1 * g.value
+
+
+def _preset_cdf_points():
+    """(spec, SNR, threshold) of the fig10, fig12 and fig13 FSO CDF calls."""
+    points = []
+    fig10 = figures.figure_jobs("fig10")[0].config
+    for jitter in (0.2, 0.1):        # xi^2 = 0.53 and 4.27
+        cfg = fig10.replaced("fso", jitter_std_m=jitter)
+        for snr in range(0, 75, 10):
+            spec = cfg.system_spec(float(snr))
+            points.append((spec.fso, float(snr), spec.policy.gamma_th))
+    for fig_id in ("fig12", "fig13"):
+        for job in figures.figure_jobs(fig_id):
+            for snr in range(0, 75, 5):
+                spec = job.config.with_sweep_value(float(snr)).system_spec()
+                pol = spec.policy
+                for gamma in {getattr(pol, name) for name in
+                              ("gamma_th", "gamma_f_th_u", "gamma_f_th_l")
+                              if hasattr(pol, name)}:
+                    points.append((spec.fso, float(snr), gamma))
+    return sorted(set(points), key=lambda p: (p[1], p[2], repr(p[0])))
+
+
+class TestCdfAgainstMpmath:
+    """The scintillation-conditioned CDF where the residue series fails."""
+
+    @pytest.mark.parametrize("tau", [1, 2])
+    @pytest.mark.parametrize("geometry", sorted(DENSITY_GEOMETRIES))
+    def test_kernel_matches_meijer_g(self, geometry, tau):
+        spec = fso_spec(tau=tau, **DENSITY_GEOMETRIES[geometry])
+        scale = spec.pointing.a0 / (spec.alpha_f * spec.beta_f)
+        for z in np.geomspace(1e-3, 1e3, 13):
+            gamma = spec.delta_tau(SNR_DB) * (z * scale) ** tau
+            assert channel_fso._cdf_by_scintillation(
+                gamma, spec, SNR_DB) == pytest.approx(
+                    _mpmath_cdf(gamma, spec, SNR_DB), rel=1e-12, abs=0.0), z
+
+    def test_presets_route_and_value(self):
+        kernel = 0
+        for spec, snr, gamma in _preset_cdf_points():
+            got = fso_snr_cdf(gamma, spec, snr)
+            residue = _residue_cdf(gamma, spec, snr)
+            assert "contour-fallback" not in got.flags
+            if residue is not None:
+                assert got.value == min(max(residue, 0.0), 1.0)
+                continue
+            kernel += 1
+            assert got.value == pytest.approx(
+                _mpmath_cdf(gamma, spec, snr), rel=1e-12, abs=0.0), (snr, gamma)
+        assert kernel > 10
+
+    def test_no_contour_calls(self, monkeypatch):
+        calls = {"contour": 0}
+        contour = specfun.meijer_g_contour
+
+        def counted_contour(*args, **kwargs):
+            calls["contour"] += 1
+            return contour(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "meijer_g_contour", counted_contour)
+        for spec, snr, gamma in _preset_cdf_points():
+            fso_snr_cdf(gamma, spec, snr)
+        assert calls["contour"] == 0
 
 
 class TestSnrDistribution:

@@ -221,6 +221,30 @@ class TestExitCodes:
         rc, _ = run_cli(["run", "outage", "--config", str(path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command,attr,value", [
+        ("outage", "outage_link", 1.5),
+        ("outage", "outage_link", float("nan")),
+        ("aber", "aber_link", 0.6),           # BPSK: A n0 = 0.5
+        ("capacity", "capacity_link", -1e-3),
+        ("capacity", "capacity_link", float("inf")),
+    ])
+    def test_out_of_range_value_exits_3(self, monkeypatch, capsys, command,
+                                        attr, value):
+        monkeypatch.setattr(ma, attr,
+                            lambda *args: ma.KernelValue(value, frozenset()))
+        rc = cli.main(["run", command, "--config", "default"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{command}:fso" in captured.err
+
+    def test_asymptotic_out_of_range_keeps_its_flag(self, monkeypatch):
+        monkeypatch.setattr(ma, "asymptotic_outage", lambda *args: 2.0)
+        rc, out = run_cli(["run", "outage", "--config", "default",
+                           "--method", "asymptotic"])
+        assert rc == 0
+        assert "asymptotic-out-of-regime" in out
+
 
 class TestFigures:
     def test_all_ids_expand(self):

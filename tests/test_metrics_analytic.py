@@ -271,7 +271,7 @@ class TestAber:
         spec = system_spec(snr_db=30.0)
         mod = Modulation.bpsk()
         assert ma.aber_fso(0.0, spec, mod).value == pytest.approx(
-            ma._aber_fso_full(spec, mod).value, rel=1e-12)
+            _direct_aber_oracle(0.0, spec, mod), rel=1e-9, abs=0.0)
         assert ma.aber_access(0.0, spec, mod).value == pytest.approx(
             mod.a * _mp_access_oracle(spec, 0.0, 1.0), rel=1e-8, abs=0.0)
 
@@ -322,6 +322,84 @@ class TestAber:
         soft = system_spec(snr_db=35.0, policy=HardPolicy(GTH_5DB).as_soft())
         assert ma.aber_hybrid(soft, mod).value == pytest.approx(
             ma.aber_hybrid(hard, mod).value, rel=1e-9)
+
+
+def _direct_aber_oracle(gamma_th, spec, mod):
+    """A sum_p int_th^inf erfc(sqrt(B_p g)) f(g) dg by adaptive quadrature
+    of the density (itself checked against mpmath), split at 1.5, 3, 10
+    and 100 times the threshold (times 1 at a zero threshold)."""
+    snr = spec.transmit_snr_db
+
+    def integrand(g):
+        err = sum(math.erfc(math.sqrt(b * g)) for b in mod.b_list)
+        return mod.a * err * fso_snr_pdf(g, spec.fso, snr).value
+
+    scale = gamma_th if gamma_th > 0.0 else 1.0
+    edges = [gamma_th] + [scale * f for f in (1.5, 3.0, 10.0, 100.0)] + [math.inf]
+    return sum(integrate.quad(integrand, lo, hi, limit=400, epsabs=0.0,
+                              epsrel=1e-12)[0]
+               for lo, hi in zip(edges, edges[1:]))
+
+
+def _policy_thresholds(policy):
+    if isinstance(policy, HardPolicy):
+        return (policy.gamma_th,)
+    return (policy.gamma_f_th_u, policy.gamma_f_th_l)
+
+
+FSO_ABER_CASES = ([("fig12", label) for label in
+                   ("hard_str_a", "soft_str_a", "hard_mod_b", "soft_mod_b")]
+                  + [("fig13", label) for label in
+                     ("bpsk", "16qam", "64qam", "ook")])
+
+
+class TestFsoAberKernel:
+    """aber_fso against direct quadrature of erfc times the density.
+
+    The series it replaces was off by 4.4e-5 relative on fig12 soft_mod_b at
+    15 dB (gamma_u), by 1.6e-6 on hard_str_a at 10 dB and by 1.2e-6 on
+    soft_mod_b at 10 dB (gamma_l, a contour-fallback value); the grid holds
+    all three.
+    """
+
+    @pytest.mark.parametrize("fig_id,label", FSO_ABER_CASES,
+                             ids=[f"{f}-{l}" for f, l in FSO_ABER_CASES])
+    def test_matches_direct_quadrature(self, fig_id, label):
+        job = {j.label: j for j in figures.figure_jobs(fig_id)}[label]
+        mod = job.modulation or job.config.modulation
+        for snr in range(0, 75, 5):
+            spec = job.config.with_sweep_value(float(snr)).system_spec()
+            thresholds = _policy_thresholds(spec.policy)
+            if snr in (0, 35, 70):
+                thresholds += (0.0,)
+            for gamma_th in thresholds:
+                got = ma.aber_fso(gamma_th, spec, mod)
+                assert got.value == pytest.approx(
+                    _direct_aber_oracle(gamma_th, spec, mod),
+                    rel=1e-9, abs=0.0), (snr, gamma_th)
+                assert not got.flags
+
+    def test_no_contour_calls(self, monkeypatch):
+        calls = {"contour": 0}
+        contour = specfun.meijer_g_contour
+
+        def counted_contour(*args, **kwargs):
+            calls["contour"] += 1
+            return contour(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "meijer_g_contour", counted_contour)
+        for fig_id, label in FSO_ABER_CASES:
+            job = {j.label: j for j in figures.figure_jobs(fig_id)}[label]
+            mod = job.modulation or job.config.modulation
+            for snr in (0.0, 5.0, 10.0):
+                spec = job.config.with_sweep_value(snr).system_spec()
+                for gamma_th in _policy_thresholds(spec.policy):
+                    ma.aber_fso(gamma_th, spec, mod)
+                    ma.outage_fso(spec, gamma_th)
+        assert calls["contour"] == 0
+        # the counter is live: a logarithmic pole layout takes the contour
+        specfun.meijer_g(specfun.MeijerGSpec((0.5,), (), (0.0, 1.0), (), 2.0))
+        assert calls["contour"] == 1
 
 
 def _fso_upper_aber_oracle(gamma_th, spec, mod):
@@ -385,9 +463,9 @@ class TestAberUpperTail:
         mod = Modulation.bpsk()
         for gamma_th in (spec.policy.gamma_f_th_u, spec.policy.gamma_f_th_l):
             got = ma.aber_fso(gamma_th, spec, mod)
-            assert ma.FLAG_TAIL_QUADRATURE in got.flags
+            assert not got.flags
             assert got.value == pytest.approx(
-                _fso_upper_aber_oracle(gamma_th, spec, mod), rel=1e-7, abs=0.0)
+                _direct_aber_oracle(gamma_th, spec, mod), rel=1e-7, abs=0.0)
 
     def test_hybrid_matches_direct_tails(self, spec):
         mod = Modulation.bpsk()
@@ -442,7 +520,8 @@ class TestAberUpperTail:
         monkeypatch.setattr(specfun, "meijer_g", counted_meijer_g)
         monkeypatch.setattr(channel_fso, "fso_snr_pdf", counted_pdf)
         channel_fso.fso_snr_pdf(1.0, spec.fso, spec.transmit_snr_db)
-        got = ma.aber_fso(spec.policy.gamma_f_th_u, spec, Modulation.bpsk())
+        # the FSO capacity's low-SNR lower tail integrates the density
+        got = ma.capacity_fso(spec.policy.gamma_f_th_u, spec)
         assert ma.FLAG_TAIL_QUADRATURE in got.flags
         assert calls["pdf"] > 1
         assert calls["meijer_g_in_pdf"] == 0
@@ -547,6 +626,6 @@ class TestAccessPositiveForms:
             ma.aber_access(spec.gamma_r_th, spec, Modulation.mqam(16))
             ma.capacity_access(spec.gamma_r_th, spec)
         assert calls == {"quad": 0, "meijer_g": 0}
-        for snr in (0.0, 30.0):         # the FSO tail: quadrature, Meijer-G
-            ma.aber_fso(GTH_5DB, system_spec(snr_db=snr), Modulation.bpsk())
+        for snr in (0.0, 30.0):     # the FSO capacity: quadrature, Meijer-G
+            ma.capacity_fso(GTH_5DB, system_spec(snr_db=snr))
         assert calls["quad"] > 0 and calls["meijer_g"] > 0

@@ -433,4 +433,4 @@ class TestFigureFlags:
                 if fig_id == "fig13":
                     assert "truncation-cap" not in flags, metric
                     counts["tail-quadrature"] += "tail-quadrature" in flags
-        assert counts == {"asymptotic": 35, "mc": 4, "tail-quadrature": 26}
+        assert counts == {"asymptotic": 35, "mc": 4, "tail-quadrature": 0}
