@@ -11,19 +11,19 @@ gamma_max = delta_tau (A0 e^u)^tau and P(h <= x) = x^(xi^2), so the SNR laws
 are expectations over u of closed inner terms with positive integrands
 (Farid & Hranilovic, J. Lightwave Technol. 25(7), 2007).  One windowed
 Gauss-Legendre rule over u (:func:`_gg_rule`) carries the density, the
-ceiling rule behind the FSO ABER (:func:`fso_ceiling_rule`), and the CDF
-wherever its Meijer-G closed form would need the Mellin-Barnes contour;
-elsewhere the CDF is the Meijer-G residue series.  None of these carries a
-Meijer-G route flag.
+ceiling rule behind the FSO ABER and capacity (:func:`fso_ceiling_rule`),
+and the CDF and survival wherever the Meijer-G closed form would need the
+Mellin-Barnes contour; elsewhere the CDF is the Meijer-G residue series.
+None of these carries a Meijer-G route flag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import specfun
 from .errors import (DomainError, MeijerGUnsupportedError,
@@ -38,6 +38,7 @@ __all__ = [
     "rytov_turbulence_params",
     "fso_snr_pdf",
     "fso_snr_cdf",
+    "fso_snr_survival",
     "fso_ceiling_rule",
 ]
 
@@ -159,7 +160,12 @@ class PointingGeometry:
 
 @dataclass(frozen=True, slots=True)
 class FsoLinkSpec:
-    """Static FSO link parameters plus derived channel constants."""
+    """Static FSO link parameters plus derived channel constants.
+
+    The Gamma-Gamma shapes ``alpha_f``, ``beta_f`` and the path transmittance
+    ``i_l`` are computed once, when the spec is made; they take no part in
+    equality or hashing, which the input fields decide.
+    """
 
     wavelength_m: float
     length_m: float
@@ -168,24 +174,21 @@ class FsoLinkSpec:
     detection_tau: int  # 1 = heterodyne, 2 = IM/DD
     eta: float
     pointing: PointingGeometry
+    alpha_f: float = field(init=False, repr=False, compare=False)
+    beta_f: float = field(init=False, repr=False, compare=False)
+    i_l: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.detection_tau not in (1, 2):
             raise DomainError(f"detection_tau must be 1 or 2, got {self.detection_tau}")
         if self.eta <= 0:
             raise DomainError("eta must be positive")
-
-    @property
-    def alpha_f(self) -> float:
-        return rytov_turbulence_params(self.cn2, self.wavelength_m, self.length_m)[0]
-
-    @property
-    def beta_f(self) -> float:
-        return rytov_turbulence_params(self.cn2, self.wavelength_m, self.length_m)[1]
-
-    @property
-    def i_l(self) -> float:
-        return attenuation(self.visibility_km, self.wavelength_m, self.length_m)
+        alpha_f, beta_f = rytov_turbulence_params(
+            self.cn2, self.wavelength_m, self.length_m)
+        object.__setattr__(self, "alpha_f", alpha_f)
+        object.__setattr__(self, "beta_f", beta_f)
+        object.__setattr__(self, "i_l", attenuation(
+            self.visibility_km, self.wavelength_m, self.length_m))
 
     def delta_tau(self, transmit_snr_db: float) -> float:
         """SNR scale P (eta I_l)^tau / sigma^2 at unit noise variance.
@@ -242,6 +245,67 @@ def _log_gg_derivatives(s: float, z0: float, nu: float, be_minus_xi2: float):
     return be_minus_xi2 - 0.5 * z * r, -0.25 * z * (z * r * r + 2.0 * nu * r - z)
 
 
+def _log_gg_peak(lo: float, hi: float, z0: float, nu: float,
+                 be_minus_xi2: float) -> float:
+    """Root in (lo, hi) of the first derivative of :func:`_log_gg_offset`.
+
+    The derivative falls from positive at ``lo`` to negative at ``hi``
+    (the integrand is log-concave).  Newton steps on the second derivative
+    run inside the bracket the signs keep; a step that would leave it, or
+    that is not under half the step before, becomes a bisection, so the
+    steps at least halve from one to the next.
+    """
+    step = last = hi - lo
+    s = lo + 0.5 * step
+    d1, d2 = _log_gg_derivatives(s, z0, nu, be_minus_xi2)
+    for _ in range(2100):   # halvings of any double range to below 1 ulp
+        if d1 == 0.0:
+            return s
+        lo, hi = (s, hi) if d1 > 0.0 else (lo, s)
+        newton = s - d1 / d2
+        if lo < newton < hi and abs(2.0 * d1) < abs(last * d2):
+            last, step = step, d1 / d2
+            s = newton
+        else:
+            last = step = 0.5 * (hi - lo)
+            s = lo + step
+        if abs(step) <= 2.0 * math.ulp(s):
+            return s
+        d1, d2 = _log_gg_derivatives(s, z0, nu, be_minus_xi2)
+    return s
+
+
+def log_concave_window(log_f, peak: float, lo: float, hi: float,
+                       rise: float, fall: float, curv: float):
+    """Nodes over the window of a log-concave integrand e^log_f on [lo, hi].
+
+    ``rise`` and ``fall`` are the slopes of ``log_f`` left and right of its
+    maximum at ``peak`` and ``curv`` its curvature there.  The window is
+    where ``log_f`` lies within PDF_LOG_RANGE of the maximum, found by a
+    geometric scan out of the peak that starts at a hundredth of the
+    distance over which the linear or quadratic fall loses PDF_LOG_RANGE;
+    PDF_PANELS Gauss-Legendre panels cover it.  Returns (s, w, log_peak)
+    with int_lo^hi e^log_f(s) h(s) ds ~ e^log_peak * dot(w, h(s)).
+    """
+    width = min(PDF_LOG_RANGE / -fall if fall < 0.0 else math.inf,
+                PDF_LOG_RANGE / rise if rise > 0.0 else math.inf,
+                math.sqrt(2.0 * PDF_LOG_RANGE / -curv) if curv < 0.0 else math.inf,
+                PDF_SCAN_LIMIT)
+    log_peak = float(log_f(np.array([peak]))[0])
+    threshold = log_peak - PDF_LOG_RANGE
+    step = 1e-2 * width
+    b = a = peak
+    if hi > peak:
+        b = peak + _level_offset(log_f, peak, step,
+                                 min(hi - peak, PDF_SCAN_LIMIT), threshold)
+    if peak > lo:
+        a = peak - _level_offset(log_f, peak, -step,
+                                 min(peak - lo, PDF_SCAN_LIMIT), threshold)
+    span = b - a
+    s = a + span * _UNIT_NODES
+    return s, span * _UNIT_WEIGHTS * np.exp(log_f(s) - log_peak), log_peak
+
+
 def _level_offset(log_f, origin: float, step: float, limit: float,
                   threshold: float) -> float:
     """Distance from ``origin`` at which ``log_f`` first drops below threshold.
@@ -272,12 +336,10 @@ def _gg_rule(spec: FsoLinkSpec, log_c: float, lo: float, hi: float,
 
         e^log_factor int_lo^hi f_Ia(e^u) e^u e^(-xi2 s_+) h(u) ds
 
-    as e^log_scale * span * dot(_UNIT_WEIGHTS, e * h(ln c + s)) and returns
-    (s, e, span, log_scale).  The integrand with h = 1 is log-concave in u.
+    as e^log_scale * dot(w, h(ln c + s)) and returns (s, w, log_scale).  The integrand with h = 1 is log-concave in u.
     Its maximum is an end of [lo, hi], the kink at s = 0, or the root of the
-    log-derivative on one side of it (beta - xi2 [s > 0] - z R / 2); the
-    interval where it lies within PDF_LOG_RANGE of that maximum is found by
-    a geometric scan out of the maximum, and PDF_PANELS panels cover it.
+    log-derivative on one side of it (beta - xi2 [s > 0] - z R / 2), and
+    :func:`log_concave_window` places the nodes around it.
     """
     al, be = spec.alpha_f, spec.beta_f
     nu = al - be
@@ -302,9 +364,7 @@ def _gg_rule(spec: FsoLinkSpec, log_c: float, lo: float, hi: float,
             # rising beyond ln c: the maximum is interior, and below
             # z = 2 (al + be) + 2, where z R / 2 exceeds beta for any nu
             top = 2.0 * math.log((2.0 * (al + be) + 2.0) / z0)
-            peak = optimize.brentq(
-                lambda s: _log_gg_derivatives(s, z0, nu, be - xi2)[0], 0.0, top,
-                xtol=1e-9, rtol=1e-12)
+            peak = _log_gg_peak(0.0, top, z0, nu, be - xi2)
             fall, curv = _log_gg_derivatives(peak, z0, nu, be - xi2)
             rise = fall
     if lo < 0.0 and peak == 0.0:
@@ -314,34 +374,15 @@ def _gg_rule(spec: FsoLinkSpec, log_c: float, lo: float, hi: float,
             peak, rise = lo, 0.0
             fall, curv = _log_gg_derivatives(lo, z0, nu, be)
             if fall > 0.0:
-                peak = optimize.brentq(
-                    lambda s: _log_gg_derivatives(s, z0, nu, be)[0], lo, 0.0,
-                    xtol=1e-9, rtol=1e-12)
+                peak = _log_gg_peak(lo, 0.0, z0, nu, be)
                 fall, curv = _log_gg_derivatives(peak, z0, nu, be)
                 rise = fall
-    # distance over which a linear or quadratic fall loses PDF_LOG_RANGE
-    width = min(PDF_LOG_RANGE / -fall if fall < 0.0 else math.inf,
-                PDF_LOG_RANGE / rise if rise > 0.0 else math.inf,
-                math.sqrt(2.0 * PDF_LOG_RANGE / -curv) if curv < 0.0 else math.inf,
-                PDF_SCAN_LIMIT)
-    log_peak = float(log_f(np.array([peak]))[0])
-    threshold = log_peak - PDF_LOG_RANGE
-    step = 1e-2 * width
-    b = a = peak
-    if hi > peak:
-        b = peak + _level_offset(log_f, peak, step,
-                                 min(hi - peak, PDF_SCAN_LIMIT), threshold)
-    if peak > lo:
-        a = peak - _level_offset(log_f, peak, -step,
-                                 min(peak - lo, PDF_SCAN_LIMIT), threshold)
-    span = b - a
-    s = a + span * _UNIT_NODES
-    e = np.exp(log_f(s) - log_peak)
+    s, w, log_peak = log_concave_window(log_f, peak, lo, hi, rise, fall, curv)
     log_norm = (math.log(2.0) + 0.5 * (al + be) * math.log(al * be)
                 - math.lgamma(al) - math.lgamma(be))
     log_scale = (log_factor + log_norm
                  + 0.5 * (al + be) * log_c + log_k0 - z0 + log_peak)
-    return s, e, span, log_scale
+    return s, w, log_scale
 
 
 def fso_snr_pdf(gamma: float, spec: FsoLinkSpec,
@@ -360,10 +401,10 @@ def fso_snr_pdf(gamma: float, spec: FsoLinkSpec,
     if not gamma > 0:
         raise DomainError(f"fso_snr_pdf requires gamma > 0, got {gamma}")
     xi2 = spec.pointing.xi ** 2
-    _, e, span, log_scale = _gg_rule(
+    _, w, log_scale = _gg_rule(
         spec, _log_c(gamma, spec, transmit_snr_db), 0.0, math.inf, xi2,
         math.log(xi2 / (spec.detection_tau * gamma)))
-    value = math.exp(log_scale) * (span * float(np.dot(_UNIT_WEIGHTS, e)))
+    value = math.exp(log_scale) * float(np.sum(w))
     if not (value >= 0.0 and math.isfinite(value)):
         raise NumericalIntegrityError(
             f"fso_snr_pdf produced density {value} at gamma={gamma}")
@@ -381,61 +422,69 @@ def fso_ceiling_rule(gamma_lo: float, gamma_knee: float, spec: FsoLinkSpec,
         E[g(gamma_max); gamma_max > gamma_lo] ~ sum(w * g(gamma_max))
 
     for any smooth g that falls no slower than min(1, (gamma_knee /
-    gamma_max)^k); the window is that of this envelope (``gamma_lo`` = 0
-    starts it in the left tail of the Gamma-Gamma density).
+    gamma_max)^k); the window is that of this envelope.  With
+    ``gamma_knee`` = inf it is the window of the density alone, for a g that
+    grows no faster than a logarithm.  ``gamma_lo`` = 0 starts it in the
+    left tail of the Gamma-Gamma density.
     """
     if gamma_lo < 0 or not gamma_knee > 0:
         raise DomainError(
             "fso_ceiling_rule requires gamma_lo >= 0 and gamma_knee > 0")
-    ref = max(gamma_lo, gamma_knee)
     tau = spec.detection_tau
+    envelope = math.isfinite(gamma_knee)
+    rate = spec.pointing.xi ** 2 if envelope else 0.0
+    ref = max(gamma_lo, gamma_knee) if envelope else (
+        gamma_lo or spec.delta_tau(transmit_snr_db) * spec.pointing.a0 ** tau)
     lo = math.log(gamma_lo / ref) / tau if gamma_lo > 0.0 else -math.inf
-    xi2 = spec.pointing.xi ** 2
-    s, e, span, log_scale = _gg_rule(
-        spec, _log_c(ref, spec, transmit_snr_db), lo, math.inf, xi2)
-    w = (math.exp(log_scale) * span * _UNIT_WEIGHTS * e
-         * np.exp(xi2 * np.maximum(s, 0.0)))
+    s, w, log_scale = _gg_rule(
+        spec, _log_c(ref, spec, transmit_snr_db), lo, math.inf, rate)
+    # in logs: the envelope's inverse alone can leave the double range
+    with np.errstate(divide="ignore"):
+        w = np.exp(np.log(w) + log_scale + rate * np.maximum(s, 0.0))
     return ref * np.exp(tau * s), w
+
+
+def _scintillation_mean(spec: FsoLinkSpec, log_c: float, lo: float,
+                        hi: float, rate: float, h=None) -> float:
+    """E[e^(-rate s_+) h(s); lo < s < hi] over s = ln I_a - ln c."""
+    s, w, log_scale = _gg_rule(spec, log_c, lo, hi, rate)
+    return math.exp(log_scale) * float(np.sum(w) if h is None
+                                       else np.dot(w, h(s)))
+
+
+def _survival_by_scintillation(gamma: float, spec: FsoLinkSpec,
+                               transmit_snr_db: float) -> float:
+    """P(gamma_F > gamma) = E[1 - (c / I_a)^(xi^2); I_a > c], every term
+    positive, on :func:`_gg_rule`."""
+    xi2 = spec.pointing.xi ** 2
+    return _scintillation_mean(spec, _log_c(gamma, spec, transmit_snr_db),
+                               0.0, math.inf, 0.0,
+                               lambda s: -np.expm1(-xi2 * s))
 
 
 def _cdf_by_scintillation(gamma: float, spec: FsoLinkSpec,
                           transmit_snr_db: float) -> float:
     """P(gamma_F <= gamma) = E[min(1, (c / I_a)^(xi^2))] from positive terms.
 
-    The survival 1 - F = E[1 - (c / I_a)^(xi^2); I_a > c] is taken first;
+    The survival of :func:`_survival_by_scintillation` is taken first;
     where it is below one half F is 1 minus it, correct to the rounding of
     F.  Otherwise F = F_Ia(c) + E[(c / I_a)^(xi^2); I_a > c], i.e. F_Ia(c)
     + tau gamma f(gamma) / xi^2.  Every term runs on :func:`_gg_rule`.
     """
-    log_c = _log_c(gamma, spec, transmit_snr_db)
-    xi2 = spec.pointing.xi ** 2
-
-    def expectation(lo, hi, rate, h=None):
-        s, e, span, log_scale = _gg_rule(spec, log_c, lo, hi, rate)
-        if h is not None:
-            e = e * h(s)
-        return math.exp(log_scale) * (span * float(np.dot(_UNIT_WEIGHTS, e)))
-
-    survival = expectation(0.0, math.inf, 0.0, lambda s: -np.expm1(-xi2 * s))
+    survival = _survival_by_scintillation(gamma, spec, transmit_snr_db)
     if survival < 0.5:
         return 1.0 - survival
-    return expectation(-math.inf, 0.0, 0.0) + expectation(0.0, math.inf, xi2)
+    log_c = _log_c(gamma, spec, transmit_snr_db)
+    return (_scintillation_mean(spec, log_c, -math.inf, 0.0, 0.0)
+            + _scintillation_mean(spec, log_c, 0.0, math.inf,
+                                  spec.pointing.xi ** 2))
 
 
-def fso_snr_cdf(gamma: float, spec: FsoLinkSpec,
-                transmit_snr_db: float) -> specfun.KernelValue:
-    """P(gamma_F <= gamma) for either detection type.
-
-    The Meijer-G closed form by its residue series where that converges
-    unflagged; where it would need the Mellin-Barnes contour (a logarithmic
-    pole layout, a series that raises, or one flagged ``truncation-cap`` or
-    ``residue-ill-conditioned``) the scintillation-conditioned form of
-    :func:`_cdf_by_scintillation` instead.
-    """
-    if gamma < 0:
-        raise DomainError(f"fso_snr_cdf requires gamma >= 0, got {gamma}")
-    if gamma == 0.0:
-        return specfun.KernelValue(0.0)
+def _residue_cdf(gamma: float, spec: FsoLinkSpec, transmit_snr_db: float):
+    """The Meijer-G closed form of P(gamma_F <= gamma) by its residue
+    series, or None where it would need the Mellin-Barnes contour (a
+    logarithmic pole layout, a series that raises, or one flagged
+    ``truncation-cap`` or ``residue-ill-conditioned``)."""
     tau = spec.detection_tau
     rho1, rho2, d1, d2 = _cdf_blocks(spec)
     delta = spec.delta_tau(transmit_snr_db)
@@ -444,14 +493,42 @@ def fso_snr_cdf(gamma: float, spec: FsoLinkSpec,
         g = specfun.meijer_g_residue(specfun.MeijerGSpec(
             a_front=(1.0,), a_back=rho1, b_front=rho2, b_back=(0.0,), z=z))
     except MeijerGUnsupportedError:
-        g = None
-    if g is None or g.flags & _CONTOUR_FLAGS:
-        value = _cdf_by_scintillation(gamma, spec, transmit_snr_db)
-    else:
-        value = d1 * g.value
+        return None
+    return None if g.flags & _CONTOUR_FLAGS else d1 * g.value
+
+
+def _probability(gamma: float, spec: FsoLinkSpec, transmit_snr_db: float,
+                 survival: bool) -> specfun.KernelValue:
+    name = "fso_snr_survival" if survival else "fso_snr_cdf"
+    if gamma < 0:
+        raise DomainError(f"{name} requires gamma >= 0, got {gamma}")
+    if gamma == 0.0:
+        return specfun.KernelValue(float(survival))
+    value = _residue_cdf(gamma, spec, transmit_snr_db)
+    if value is None:
+        law = _survival_by_scintillation if survival else _cdf_by_scintillation
+        value = law(gamma, spec, transmit_snr_db)
+    elif survival:
+        value = 1.0 - value
     if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
         raise NumericalIntegrityError(
-            f"fso_snr_cdf produced {value} at gamma={gamma}, "
+            f"{name} produced {value} at gamma={gamma}, "
             f"transmit SNR {transmit_snr_db} dB")
     flags = _NO_FLAGS if spec.pointing.beamwidth_valid else _BEAMWIDTH_FLAGS
     return specfun.KernelValue(min(max(value, 0.0), 1.0), flags)
+
+
+def fso_snr_cdf(gamma: float, spec: FsoLinkSpec,
+                transmit_snr_db: float) -> specfun.KernelValue:
+    """P(gamma_F <= gamma) for either detection type: the residue series of
+    :func:`_residue_cdf` where it converges unflagged, elsewhere the
+    scintillation-conditioned form of :func:`_cdf_by_scintillation`."""
+    return _probability(gamma, spec, transmit_snr_db, survival=False)
+
+
+def fso_snr_survival(gamma: float, spec: FsoLinkSpec,
+                     transmit_snr_db: float) -> specfun.KernelValue:
+    """P(gamma_F > gamma) on the route of :func:`fso_snr_cdf`: 1 minus the
+    residue series, or the positive-term survival, which keeps its digits
+    where the CDF rounds to 1.  The two sum to 1 to the larger's rounding."""
+    return _probability(gamma, spec, transmit_snr_db, survival=True)

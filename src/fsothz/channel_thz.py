@@ -4,16 +4,20 @@ Path loss is deterministic: Friis spreading plus six fitted water-vapor
 absorption lines (119..448 GHz) and a continuum term.  Small-scale fading is
 alpha-mu per receive branch with one shared misalignment factor; after MRC
 the branch sum is carried analytically as a single alpha-mu variate with
-mu -> N_r mu and the SNR scale gamma_bar = N_r * gamma_bar_T.
+mu -> N_r mu and the SNR scale gamma_bar = N_r * gamma_bar_T.  Given that
+variate the SNR is a ceiling times a power-law pointing loss, and the rule
+of :func:`thz_ceiling_rule` carries the survival, ABER and capacity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import specfun
-from .channel_fso import PointingGeometry
+from .channel_fso import PointingGeometry, log_concave_window
 from .errors import DomainError, NumericalIntegrityError
 
 __all__ = [
@@ -25,6 +29,8 @@ __all__ = [
     "thz_path_gain",
     "thz_snr_pdf",
     "thz_snr_cdf",
+    "thz_snr_survival",
+    "thz_ceiling_rule",
     "default_rx_radius_m",
 ]
 
@@ -132,7 +138,11 @@ def thz_path_gain(env: ThzEnvironment) -> float:
 
 @dataclass(frozen=True, slots=True)
 class ThzLinkSpec:
-    """THz link parameters plus the alpha-mu/misalignment channel constants."""
+    """THz link parameters plus the alpha-mu/misalignment channel constants.
+
+    The path gain ``h_l`` is computed once, when the spec is made; it takes
+    no part in equality or hashing, which the input fields decide.
+    """
 
     env: ThzEnvironment
     alpha: float
@@ -140,16 +150,14 @@ class ThzLinkSpec:
     n_rx: int
     omega: float
     pointing: PointingGeometry
+    h_l: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha <= 0 or self.mu <= 0 or self.omega <= 0:
             raise DomainError("alpha, mu and omega must be positive")
         if self.n_rx < 1:
             raise DomainError(f"n_rx must be >= 1, got {self.n_rx}")
-
-    @property
-    def h_l(self) -> float:
-        return thz_path_gain(self.env)
+        object.__setattr__(self, "h_l", thz_path_gain(self.env))
 
     @property
     def xi_t(self) -> float:
@@ -232,9 +240,77 @@ def thz_snr_cdf(gamma: float, spec: ThzLinkSpec,
     log_pref = (spec.log_c1 - math.log(spec.alpha)
                 + xi2 / 2.0 * math.log(gamma / gbar))
     logv = log_pref + log_g
-    value = math.exp(logv) if logv > -745.0 else 0.0
+    return _probability(math.exp(logv) if logv > -745.0 else 0.0,
+                        "thz_snr_cdf", gamma, transmit_snr_db)
+
+
+def _probability(value: float, name: str, gamma: float,
+                 transmit_snr_db: float) -> specfun.KernelValue:
     if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
         raise NumericalIntegrityError(
-            f"thz_snr_cdf produced {value} at gamma={gamma}, "
+            f"{name} produced {value} at gamma={gamma}, "
             f"transmit SNR {transmit_snr_db} dB")
     return specfun.KernelValue(min(max(value, 0.0), 1.0))
+
+
+def thz_ceiling_rule(gamma_lo: float, gamma_knee: float, spec: ThzLinkSpec,
+                     transmit_snr_db: float):
+    """Rule over the fading variate for the pointing-free SNR ceiling.
+
+    With Y ~ Gamma(n), n = N_r mu, the fading variate of the single alpha-mu
+    law of the MRC sum, the SNR is gamma_max h^2 with gamma_max = gamma_bar
+    A0^2 Omega^2 (Y / n)^(2 / alpha) and P(h <= x) = x^(xi^2), so P(gamma <=
+    g | Y) = min(1, (g / gamma_max)^k), k = xi^2 / 2.  Returns (gamma_max,
+    w) on the contract of :func:`channel_fso.fso_ceiling_rule`.  The rule
+    runs over y = ln Y, whose density e^(n y - e^y) / Gamma(n) times the
+    envelope min(1, (gamma_knee / gamma_max)^k) = e^(-r (y - y_knee)_+),
+    r = xi^2 / alpha, is log-concave with its maximum at ln n, at ln(n - r)
+    or at the kink; :func:`channel_fso.log_concave_window` places the nodes.
+    """
+    if gamma_lo < 0 or not gamma_knee > 0:
+        raise DomainError(
+            "thz_ceiling_rule requires gamma_lo >= 0 and gamma_knee > 0")
+    n = spec.n_rx * spec.mu
+    c = 2.0 / spec.alpha
+    scale = spec.gamma_bar(transmit_snr_db) * (spec.a0_t * spec.omega) ** 2
+    log_scale = math.log(scale) - c * math.log(n)   # gamma_max = e^(log_scale + c y)
+    envelope = math.isfinite(gamma_knee)
+    rate = spec.xi_t ** 2 / spec.alpha if envelope else 0.0
+    ref = max(gamma_lo, gamma_knee) if envelope else (gamma_lo or scale)
+    y_ref = (math.log(ref) - log_scale) / c
+    lo = (math.log(gamma_lo) - log_scale) / c if gamma_lo > 0.0 else -math.inf
+
+    def log_f(y):
+        with np.errstate(over="ignore"):
+            return n * y - np.exp(y) - rate * np.maximum(y - y_ref, 0.0)
+
+    peak = math.log(n)
+    if peak > y_ref:
+        peak = max(math.log(n - rate), y_ref) if n > rate else y_ref
+    peak = max(peak, lo)
+    rise = n - math.exp(peak) - (rate if peak > y_ref else 0.0)
+    fall = n - math.exp(peak) - (rate if peak >= y_ref else 0.0)
+    y, w, log_peak = log_concave_window(log_f, peak, lo, math.inf,
+                                        rise, fall, -math.exp(peak))
+    # in logs: the envelope's inverse alone can leave the double range
+    with np.errstate(divide="ignore"):
+        w = np.exp(np.log(w) + (log_peak - math.lgamma(n))
+                   + rate * np.maximum(y - y_ref, 0.0))
+    return np.exp(log_scale + c * y), w
+
+
+def thz_snr_survival(gamma: float, spec: ThzLinkSpec,
+                     transmit_snr_db: float) -> specfun.KernelValue:
+    """P(gamma_T > gamma) = E[1 - (gamma / gamma_max)^k; gamma_max > gamma].
+
+    On :func:`thz_ceiling_rule` every term is positive, so the value keeps
+    its relative accuracy where :func:`thz_snr_cdf` rounds to 1.
+    """
+    if gamma < 0:
+        raise DomainError(f"thz_snr_survival requires gamma >= 0, got {gamma}")
+    if gamma == 0.0:
+        return specfun.KernelValue(1.0)
+    gmax, w = thz_ceiling_rule(gamma, math.inf, spec, transmit_snr_db)
+    k = 0.5 * spec.xi_t ** 2
+    return _probability(float(np.dot(w, -np.expm1(k * np.log(gamma / gmax)))),
+                        "thz_snr_survival", gamma, transmit_snr_db)

@@ -99,10 +99,6 @@ def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
                     fn = ma.capacity_fso if link == "fso" else ma.capacity_thz
                     res = fn(activation_threshold(spec.policy, link), spec,
                              closed_form_only=True)
-                elif capacity_variant == "integral" and link in ("fso", "thz"):
-                    fn = (ma.capacity_fso_integral if link == "fso"
-                          else ma.capacity_thz_integral)
-                    res = fn(activation_threshold(spec.policy, link), spec)
                 else:
                     res = ma.capacity_link(spec, link)
             else:

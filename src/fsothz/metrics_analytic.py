@@ -1,15 +1,20 @@
 """Closed-form outage, diversity, ergodic-capacity and ABER expressions.
 
-The FSO and THz capacities and the THz ABER compose their link SNR laws
-through Meijer-G identities; their alternating lower-tail series carry the
-shared truncation policy and switch to quadrature where cancellation would
-dominate (erfc-series arguments beyond 25).  The FSO ABER above threshold
-and the access hop's capacity and ABER are evaluated on forms whose
-integrand is never negative: Craig's form of erfc on the FSO SNR given the
-scintillation, and for the Gamma-distributed access SNR integration by
-parts against the incomplete gamma survival and Craig's form again.  Every
-routine here has a direct-quadrature counterpart in the test suite acting
-as the master oracle.
+Both backhaul SNRs are a fading ceiling gamma_max times a power-law pointing
+loss, P(gamma <= g | gamma_max) = min(1, (g / gamma_max)^k) (Farid &
+Hranilovic, J. Lightwave Technol. 25(7), 2007), and each link module gives
+a fixed rule over its fading variate for E[g(gamma_max)]
+(:func:`channel_fso.fso_ceiling_rule`, :func:`channel_thz.thz_ceiling_rule`).
+Two link-agnostic kernels run on such a rule: Craig's form of erfc turns
+the ABER above a threshold into a truncated moment of the power law
+(:func:`_craig_aber`), and the capacity above a threshold is the
+conditional mean of log2(1 + xi gamma) on a tanh-sinh rule
+(:func:`_capacity_on_rule`).  Every integrand is positive, so no value is
+a difference of nearly equal terms.  The Gamma-distributed access SNR takes
+integration by parts against the incomplete gamma survival and Craig's form
+again.  The printed Meijer-G capacity identities stay as the
+``closed_form_only`` variant.  Every routine here has a direct-quadrature
+counterpart in the test suite acting as the master oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import channel_access, channel_fso, channel_thz, specfun
 from .errors import DomainError
@@ -59,36 +64,51 @@ __all__ = [
 KernelValue = specfun.KernelValue
 
 # "Arbitrary large number" in the ln(x) ~ varpi (x^(1/varpi) - 1) step of the
-# lower capacity identities; doubling it must move the result by < 1e-4
-# relative or the lower integral is done by quadrature instead.
+# printed lower capacity identities (the ``closed_form_only`` variant).
 VARPI = 1e4
 
-# Alternating erfc-series arguments beyond this bound lose too many digits
-# to cancellation; the lower-tail integrals switch to quadrature there.
-ERFC_SERIES_MAX_ARG = 25.0
-
-# Beyond this Meijer-G argument the shifted-parameter series terms of the
-# lower-tail identities degrade (deep cancellation in every inner G), so the
-# lower tail is integrated numerically instead.
-LOWER_SERIES_MAX_Z = 20.0
-
-# Fixed Gauss-Legendre rules of the access-hop integrals.  ABER: 64 nodes in
-# Craig's theta over (0, pi/2).  Capacity: 16 nodes on each panel between
-# these edges, as fractions of the u range; the geometric panels at the lower
-# end resolve the Q(k, r u) ~ 1 - c u^k corner of a zero threshold.
-_CRAIG_NODES, _CRAIG_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_CRAIG_WEIGHTS = math.pi / 4.0 * _CRAIG_WEIGHTS
-_CRAIG_INV_SIN2 = 1.0 / np.sin(math.pi / 4.0 * (_CRAIG_NODES + 1.0)) ** 2
+# Craig's theta over (0, pi/2) as (pi/2) t^2, on 64 Gauss-Legendre nodes in
+# t: the squares crowd the nodes toward theta = 0, where at a zero threshold
+# the integrand, averaged over small SNR ceilings, rises like theta^(2k)
+# from corners near sqrt(B gamma_max).
+_CRAIG_T, _CRAIG_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_CRAIG_T = 0.5 * (_CRAIG_T + 1.0)
+_CRAIG_WEIGHTS = 0.5 * math.pi * _CRAIG_T * _CRAIG_WEIGHTS
+_CRAIG_INV_SIN2 = 1.0 / np.sin(0.5 * math.pi * _CRAIG_T ** 2) ** 2
+# The access capacity's fixed Gauss-Legendre rule: 16 nodes on each panel
+# between these edges, as fractions of the u range; the geometric panels at
+# the lower end resolve the Q(k, r u) ~ 1 - c u^k corner of a zero threshold.
 _CAPACITY_EDGES = np.concatenate(([0.0], 4.0 ** np.arange(-12, -2),
                                   np.arange(1, 17) / 16.0))
 _CAPACITY_NODES, _CAPACITY_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# terms of the positive series of the FSO ABER's lower incomplete moment
+# terms of the positive series of :func:`_lower_moment`
 LOWER_MOMENT_TERMS = 30
+# Tanh-sinh rule on (0, 1) for the conditional capacity given the ceiling:
+# step 1/12 out to 3.5, where the weights fall to 1e-22.  Its nodes
+# crowd both ends, where the inner integrand has a boundary layer of width
+# 1/k (near the ceiling) and a (gamma / gamma_max)^k corner (a zero
+# threshold); against quadrature it keeps about 1e-14 relative accuracy.
+_TS_J = np.arange(-42, 43) / 12.0
+_TS_S = 0.5 * math.pi * np.sinh(_TS_J)
+_TS_NODES = 1.0 / (1.0 + np.exp(-2.0 * _TS_S))
+_TS_COMPLEMENTS = 1.0 / (1.0 + np.exp(2.0 * _TS_S))     # 1 - _TS_NODES
+_TS_WEIGHTS = (math.pi / 48.0) * np.cosh(_TS_J) / np.cosh(_TS_S) ** 2
 
-FLAG_TAIL_QUADRATURE = "tail-quadrature"
+# The printed capacity identities are accurate only while the SNR mass below
+# the threshold is negligible; beyond this mass their rows say so.
+LOW_SNR_MASS = 0.01
 FLAG_LOW_SNR_CAPACITY = "capacity-low-snr-approx"
-FLAG_NONINT_ALPHA = "noninteger-alpha-quadrature"
 _NO_FLAGS = frozenset()
+
+
+def __getattr__(name: str):
+    # ``perfbench/tracing.py`` wraps ``metrics_analytic.integrate.quad`` by
+    # attribute, and is the only reader of this name: nothing here
+    # integrates numerically, so scipy.integrate loads only when it is read.
+    if name == "integrate":
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -412,213 +432,141 @@ def _xi_factor(tau: int) -> float:
     return math.e / (2.0 * math.pi) if tau == 2 else 1.0
 
 
-def _exp_or_zero(logv: float) -> float:
-    return math.exp(logv) if logv > -745.0 else 0.0
+def _capacity_on_rule(gamma_th: float, k: float, xi: float,
+                      gmax: np.ndarray, w: np.ndarray) -> float:
+    """sum_i w_i E[log2(1 + xi gamma); gamma > gamma_th | gamma_max_i].
+
+    Given the ceiling M > gamma_th, with P(gamma <= g | M) = (g / M)^k,
+    integration by parts in u = ln(1 + xi gamma) leaves two positive terms,
+
+        ln 2 E[...| M] = u_th (1 - (gamma_th / M)^k)
+                         + int_{u_th}^{u_M} 1 - (gamma(u) / M)^k du,
+
+    the second on the tanh-sinh rule in x = u_M - u over (0, u_M - u_th).
+    There q = gamma / M is expm1(u) / (xi M) and 1 - q is (1 + 1 / (xi M))
+    (1 - e^-x), each taken from the end of the range where it is small.
+    """
+    a = xi * gmax
+    u_th = math.log1p(xi * gamma_th)
+    span = np.log1p(xi * (gmax - gamma_th) / (1.0 + xi * gamma_th))
+    x = span[:, None] * _TS_NODES
+    q = np.expm1(u_th + span[:, None] * _TS_COMPLEMENTS) / a[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.where(q < 0.5, np.log(q),
+                         np.log1p(np.expm1(-x) * (1.0 + 1.0 / a)[:, None]))
+    inner = span * (-np.expm1(k * log_q) @ _TS_WEIGHTS)
+    head = -u_th * np.expm1(k * np.log(gamma_th / gmax)) if gamma_th > 0.0 else 0.0
+    return float(np.dot(w, head + inner)) / math.log(2.0)
 
 
-def _capacity_fso_upper(spec: SystemSpec) -> KernelValue:
-    """Full-range FSO capacity term (threshold 0)."""
+def _low_snr_flagged(printed: KernelValue, mass: KernelValue) -> KernelValue:
+    """A printed capacity identity, flagged ``capacity-low-snr-approx`` where
+    the part below the threshold, which its varpi identity does not resolve,
+    carries more than LOW_SNR_MASS of the SNR mass."""
+    if mass.value > LOW_SNR_MASS:
+        return printed.with_flags(FLAG_LOW_SNR_CAPACITY)
+    return printed
+
+
+def _printed_capacity_fso(gamma_th: float, spec: SystemSpec) -> KernelValue:
+    """The source's FSO capacity identity: the full-range Meijer-G term
+    minus, above a zero threshold, the varpi identity of the part below."""
     fso = spec.fso
     tau = fso.detection_tau
     rho1, rho2, d1, d2 = channel_fso._cdf_blocks(fso)
     xi = _xi_factor(tau)
-    z = d2 / (xi * fso.pointing.a0 ** tau * fso.delta_tau(spec.transmit_snr_db))
+    scale = fso.pointing.a0 ** tau * fso.delta_tau(spec.transmit_snr_db)
     g = specfun.meijer_g(specfun.MeijerGSpec(
         a_front=(0.0,), a_back=(1.0,) + rho1,
-        b_front=rho2 + (0.0, 0.0), b_back=(), z=z))
-    return KernelValue(d1 / math.log(2.0) * g.value, g.flags)
-
-
-def _quad_capacity_fso_lower(gamma_th: float, spec: SystemSpec) -> float:
-    xi = _xi_factor(spec.fso.detection_tau)
-
-    def integrand(g):
-        return (math.log1p(xi * g) / math.log(2.0)
-                * channel_fso.fso_snr_pdf(g, spec.fso, spec.transmit_snr_db).value)
-
-    val, _ = integrate.quad(integrand, 0.0, gamma_th, limit=200)
-    return val
-
-
-def _capacity_fso_lower(gamma_th: float, spec: SystemSpec,
-                        allow_quadrature: bool = True) -> KernelValue:
-    """Lower-tail capacity integral via the varpi identity, with self-check."""
-    fso = spec.fso
-    tau = fso.detection_tau
-    rho1, rho2, d1, d2 = channel_fso._cdf_blocks(fso)
-    xi = _xi_factor(tau)
-    zth = d2 * gamma_th / (fso.pointing.a0 ** tau * fso.delta_tau(spec.transmit_snr_db))
-    if allow_quadrature and zth > LOWER_SERIES_MAX_Z:
-        return KernelValue(_quad_capacity_fso_lower(gamma_th, spec),
-                           frozenset({FLAG_TAIL_QUADRATURE}))
-
-    def theta2(varpi: float) -> KernelValue:
-        inv = 1.0 / varpi
-        ga = specfun.meijer_g(specfun.MeijerGSpec(
-            a_front=(1.0 - inv,), a_back=rho1,
-            b_front=rho2, b_back=(-inv,), z=zth))
-        gb = specfun.meijer_g(specfun.MeijerGSpec(
-            a_front=(1.0,), a_back=rho1,
-            b_front=rho2, b_back=(0.0,), z=zth))
-        val = (d1 * varpi / math.log(2.0)
-               * ((xi * gamma_th) ** inv * ga.value - gb.value))
-        return _merge(val, ga, gb)
-
-    first = theta2(VARPI)
-    second = theta2(2.0 * VARPI)
-    scale = max(abs(first.value), abs(second.value), 1e-12)
-    if allow_quadrature and abs(second.value - first.value) > 1e-4 * scale:
-        return KernelValue(_quad_capacity_fso_lower(gamma_th, spec),
-                           first.flags | {FLAG_TAIL_QUADRATURE})
-    return first
-
-
-LOW_SNR_MASS = 0.01
+        b_front=rho2 + (0.0, 0.0), b_back=(), z=d2 / (xi * scale)))
+    upper = KernelValue(d1 / math.log(2.0) * g.value, g.flags)
+    if gamma_th == 0.0:
+        return upper
+    inv = 1.0 / VARPI
+    ga, gb = (specfun.meijer_g(specfun.MeijerGSpec(
+        a_front=(1.0 - shift,), a_back=rho1, b_front=rho2, b_back=(-shift,),
+        z=d2 * gamma_th / scale)) for shift in (inv, 0.0))
+    lower = (d1 * VARPI / math.log(2.0)
+             * ((xi * gamma_th) ** inv * ga.value - gb.value))
+    return _merge(upper.value - lower, upper, ga, gb)
 
 
 def capacity_fso(gamma_th: float, spec: SystemSpec,
                  closed_form_only: bool = False) -> KernelValue:
     """Ergodic capacity of the FSO link above ``gamma_th`` in bits/s/Hz.
 
-    The full-range term is exact; the lower-tail term uses the large-varpi
-    log identity, which is only accurate while the SNR mass below the
-    threshold is negligible.  When that mass exceeds 1% the lower tail is
-    escalated to direct quadrature and flagged; ``closed_form_only``
-    suppresses the escalation to expose the printed identity as-is.
+    :func:`_capacity_on_rule` on :func:`channel_fso.fso_ceiling_rule`, with
+    k = xi^2 / tau and the IM/DD prefactor of :func:`_xi_factor`.
+    ``closed_form_only`` gives the source's printed identity instead.
     """
     if gamma_th < 0:
         raise DomainError("gamma_th must be >= 0")
-    upper = _capacity_fso_upper(spec)
-    if gamma_th == 0.0:
-        return upper
-    mass = channel_fso.fso_snr_cdf(gamma_th, spec.fso, spec.transmit_snr_db)
-    low_snr = mass.value > LOW_SNR_MASS
-    if low_snr and not closed_form_only:
-        lower = KernelValue(_quad_capacity_fso_lower(gamma_th, spec),
-                            frozenset({FLAG_TAIL_QUADRATURE}))
-    else:
-        lower = _capacity_fso_lower(gamma_th, spec,
-                                    allow_quadrature=not closed_form_only)
-    out = _merge(max(upper.value - lower.value, 0.0), upper, lower)
-    if low_snr:
-        out = out.with_flags(FLAG_LOW_SNR_CAPACITY)
-    return out
+    if closed_form_only:
+        return _low_snr_flagged(_printed_capacity_fso(gamma_th, spec),
+                                outage_fso(spec, gamma_th))
+    fso = spec.fso
+    tau = fso.detection_tau
+    gmax, w = channel_fso.fso_ceiling_rule(gamma_th, math.inf, fso,
+                                           spec.transmit_snr_db)
+    return KernelValue(_capacity_on_rule(
+        gamma_th, fso.pointing.xi ** 2 / tau, _xi_factor(tau), gmax, w))
 
 
-def _thz_cdf_g(gamma: float, spec: SystemSpec, shift: float = 0.0) -> KernelValue:
-    """G^{2,1}_{2,3} factor of the THz CDF with the rho exponent shifted."""
-    thz = spec.thz
-    gbar = thz.gamma_bar(spec.transmit_snr_db)
-    rho = thz.xi_t ** 2 / thz.alpha + shift
-    z = thz.c3 * (gamma / gbar) ** (thz.alpha / 2.0)
-    return specfun.meijer_g(specfun.MeijerGSpec(
-        a_front=(1.0 - rho,), a_back=(1.0,),
-        b_front=(0.0, thz.c2), b_back=(-rho,), z=z))
-
-
-def _capacity_thz_upper(spec: SystemSpec) -> KernelValue:
-    """Full-range THz capacity via the duplicated Meijer-G identity.
-
-    The printed identity assumes integer alpha (it comes from Gauss
-    multiplication of order alpha); non-integer alpha is answered by
-    quadrature and flagged.
-    """
+def _printed_capacity_thz(gamma_th: float, spec: SystemSpec) -> KernelValue:
+    """The source's THz capacity identity, as :func:`_printed_capacity_fso`.
+    Its full-range term comes from Gauss multiplication of order alpha, so
+    it exists for integer alpha only."""
     thz = spec.thz
     alpha = thz.alpha
     if abs(alpha - round(alpha)) > 1e-9:
-        val = _quad_capacity_thz(0.0, math.inf, spec)
-        return KernelValue(val, frozenset({FLAG_NONINT_ALPHA}))
+        raise DomainError(
+            f"the printed THz capacity identity needs an integer alpha, got {alpha}")
     ai = int(round(alpha))
     gbar = thz.gamma_bar(spec.transmit_snr_db)
-    xi2 = thz.xi_t ** 2
-    c = xi2 / 2.0
+    c = thz.xi_t ** 2 / 2.0
     rho3 = (tuple((j - c - 1.0) / alpha for j in range(1, ai + 1))
             + tuple((j - c) / alpha for j in range(1, ai + 1))
             + (0.5, 1.0))
     rho4 = ((0.0, 0.5, thz.c2 / 2.0, (thz.c2 + 1.0) / 2.0)
             + tuple((j - 1.0 - c) / alpha for j in range(1, ai + 1)) * 2)
-    z = thz.c3 ** 2 / (4.0 * gbar ** alpha)
     g = specfun.meijer_g(specfun.MeijerGSpec(
-        a_front=rho3[:ai], a_back=rho3[ai:], b_front=rho4, b_back=(), z=z))
-    if g.value <= 0.0:
-        return KernelValue(0.0, g.flags)
+        a_front=rho3[:ai], a_back=rho3[ai:], b_front=rho4, b_back=(),
+        z=thz.c3 ** 2 / (4.0 * gbar ** alpha)))
     logv = (thz.log_c1 + (thz.c2 - 1.5) * math.log(2.0)
             - math.log(math.log(2.0)) - c * math.log(gbar) - math.log(alpha)
-            - (alpha - 0.5) * math.log(2.0 * math.pi) + math.log(g.value))
-    return KernelValue(_exp_or_zero(logv), g.flags)
-
-
-def _quad_split(integrand, lo: float, hi: float, anchor: float) -> float:
-    """Adaptive quadrature of a peaked integrand, split at a scale anchor."""
-    if math.isinf(hi):
-        mid = max(anchor, 2.0 * lo + 1e-12)
-        if mid <= lo:
-            val, _ = integrate.quad(integrand, lo, math.inf, limit=400)
-            return val
-        head, _ = integrate.quad(integrand, lo, mid, limit=400)
-        tail, _ = integrate.quad(integrand, mid, math.inf, limit=400)
-        return head + tail
-    val, _ = integrate.quad(integrand, lo, hi, limit=400,
-                            points=[anchor] if lo < anchor < hi else None)
-    return val
-
-
-def _quad_capacity_thz(lo: float, hi: float, spec: SystemSpec) -> float:
-    def integrand(g):
-        return (math.log1p(g) / math.log(2.0)
-                * channel_thz.thz_snr_pdf(g, spec.thz, spec.transmit_snr_db).value)
-
-    return _quad_split(integrand, lo, hi, spec.thz.gamma_bar(spec.transmit_snr_db))
-
-
-def _capacity_thz_lower(gamma_th: float, spec: SystemSpec,
-                        allow_quadrature: bool = True) -> KernelValue:
-    thz = spec.thz
-    gbar = thz.gamma_bar(spec.transmit_snr_db)
-    xi2 = thz.xi_t ** 2
-
-    def theta4(varpi: float) -> KernelValue:
-        shift = 2.0 / (thz.alpha * varpi)
-        ga = _thz_cdf_g(gamma_th, spec, shift=shift)
-        gb = _thz_cdf_g(gamma_th, spec)
-        pref = thz.c1 * varpi / (math.log(2.0) * thz.alpha)
-        lg_ratio = xi2 / 2.0 * math.log(gamma_th / gbar)
-        val = pref * (gamma_th ** (1.0 / varpi) * _exp_or_zero(lg_ratio) * ga.value
-                      - _exp_or_zero(lg_ratio) * gb.value)
-        return _merge(val, ga, gb)
-
-    first = theta4(VARPI)
-    second = theta4(2.0 * VARPI)
-    scale = max(abs(first.value), abs(second.value), 1e-12)
-    if allow_quadrature and abs(second.value - first.value) > 1e-4 * scale:
-        return KernelValue(_quad_capacity_thz(0.0, gamma_th, spec),
-                           first.flags | {FLAG_TAIL_QUADRATURE})
-    return first
+            - (alpha - 0.5) * math.log(2.0 * math.pi)
+            + (math.log(g.value) if g.value > 0.0 else -math.inf))
+    upper = KernelValue(math.exp(logv) if logv > -745.0 else 0.0, g.flags)
+    if gamma_th == 0.0:
+        return upper
+    # G^{2,1}_{2,3} factors of the THz CDF, the first with rho shifted
+    ga, gb = (specfun.meijer_g(specfun.MeijerGSpec(
+        a_front=(1.0 - rho,), a_back=(1.0,), b_front=(0.0, thz.c2),
+        b_back=(-rho,), z=thz.c3 * (gamma_th / gbar) ** (alpha / 2.0)))
+        for rho in ((2.0 * c + 2.0 / VARPI) / alpha, 2.0 * c / alpha))
+    log_ratio = c * math.log(gamma_th / gbar)
+    pref = thz.c1 * VARPI / (math.log(2.0) * alpha)
+    pref *= math.exp(log_ratio) if log_ratio > -745.0 else 0.0
+    lower = pref * (gamma_th ** (1.0 / VARPI) * ga.value - gb.value)
+    return _merge(upper.value - lower, upper, ga, gb)
 
 
 def capacity_thz(gamma_th: float, spec: SystemSpec,
                  closed_form_only: bool = False) -> KernelValue:
     """Ergodic capacity of the THz link above ``gamma_th`` in bits/s/Hz.
 
-    Escalation policy mirrors :func:`capacity_fso`.
+    :func:`_capacity_on_rule` on :func:`channel_thz.thz_ceiling_rule` with
+    k = xi^2 / 2; ``closed_form_only`` as in :func:`capacity_fso`.
     """
     if gamma_th < 0:
         raise DomainError("gamma_th must be >= 0")
-    upper = _capacity_thz_upper(spec)
-    if gamma_th == 0.0:
-        return upper
-    mass = channel_thz.thz_snr_cdf(gamma_th, spec.thz, spec.transmit_snr_db)
-    low_snr = mass.value > LOW_SNR_MASS
-    if low_snr and not closed_form_only:
-        lower = KernelValue(_quad_capacity_thz(0.0, gamma_th, spec),
-                            frozenset({FLAG_TAIL_QUADRATURE}))
-    else:
-        lower = _capacity_thz_lower(gamma_th, spec,
-                                    allow_quadrature=not closed_form_only)
-    out = _merge(max(upper.value - lower.value, 0.0), upper, lower)
-    if low_snr:
-        out = out.with_flags(FLAG_LOW_SNR_CAPACITY)
-    return out
+    if closed_form_only:
+        return _low_snr_flagged(_printed_capacity_thz(gamma_th, spec),
+                                outage_thz(spec, gamma_th))
+    gmax, w = channel_thz.thz_ceiling_rule(gamma_th, math.inf, spec.thz,
+                                           spec.transmit_snr_db)
+    return KernelValue(_capacity_on_rule(
+        gamma_th, spec.thz.xi_t ** 2 / 2.0, 1.0, gmax, w))
 
 
 def capacity_access(gamma_r_th: float, spec: SystemSpec) -> KernelValue:
@@ -646,42 +594,43 @@ def capacity_access(gamma_r_th: float, spec: SystemSpec) -> KernelValue:
     return KernelValue(float(head + tail) / math.log(2.0))
 
 
-def capacity_fso_integral(gamma_th: float, spec: SystemSpec) -> KernelValue:
-    """FSO capacity with the lower tail integrated numerically (reference form)."""
-    upper = _capacity_fso_upper(spec)
-    if gamma_th == 0.0:
-        return upper
-    lower = _quad_capacity_fso_lower(gamma_th, spec)
-    return KernelValue(max(upper.value - lower, 0.0), upper.flags)
+def _fso_states(spec: SystemSpec):
+    """((gamma_u, gamma_l, gamma_t), p_off, p_on, parts) of the hybrid link.
+
+    The thresholds are one value for a hard policy.  p_off is the FSO
+    side's hysteresis off-probability and p_on = p_hig / (p_low + p_hig)
+    its complement, with p_hig the survival above gamma_u taken directly:
+    p_on keeps its digits where the FSO side is almost never on.
+    """
+    pol = spec.policy
+    if isinstance(pol, HardPolicy):
+        pol = pol.as_soft()
+    g_u, g_l = pol.gamma_f_th_u, pol.gamma_f_th_l
+    snr = spec.transmit_snr_db
+    fu = outage_fso(spec, g_u)
+    su = channel_fso.fso_snr_survival(g_u, spec.fso, snr)
+    fl = fu if g_l == g_u else outage_fso(spec, g_l)
+    p_off = soft_fso_off_probability(fl.value, fu.value - fl.value, su.value)
+    p_on = su.value / (fl.value + su.value)
+    return (g_u, g_l, pol.gamma_t_th), p_off, p_on, (fu, su, fl)
 
 
-def capacity_thz_integral(gamma_th: float, spec: SystemSpec) -> KernelValue:
-    """THz capacity with the lower tail integrated numerically (reference form)."""
-    upper = _capacity_thz_upper(spec)
-    if gamma_th == 0.0:
-        return upper
-    lower = _quad_capacity_thz(0.0, gamma_th, spec)
-    return KernelValue(max(upper.value - lower, 0.0), upper.flags)
+def _switched(states, fso_term, thz_term) -> KernelValue:
+    """E[f(gamma); the hybrid link transmits] from each link's expectation
+    above a threshold: FSO above gamma_u, FSO in the mid-band while it stays
+    on, and THz above gamma_t while the FSO side is off."""
+    (g_u, g_l, g_t), p_off, p_on, parts = states
+    fu = fso_term(g_u)
+    fl = fu if g_l == g_u else fso_term(g_l)
+    t = thz_term(g_t)
+    return _merge(fu.value + p_off * t.value + (fl.value - fu.value) * p_on,
+                  fu, fl, t, *parts)
 
 
 def capacity_hybrid(spec: SystemSpec) -> KernelValue:
     """Hybrid backhaul capacity under the configured switching policy."""
-    pol = spec.policy
-    if isinstance(pol, HardPolicy):
-        cf = capacity_fso(pol.gamma_th, spec)
-        ct = capacity_thz(pol.gamma_th, spec)
-        ff = outage_fso(spec, pol.gamma_th)
-        return _merge(cf.value + ff.value * ct.value, cf, ct, ff)
-    cfu = capacity_fso(pol.gamma_f_th_u, spec)
-    cfl = capacity_fso(pol.gamma_f_th_l, spec)
-    ct = capacity_thz(pol.gamma_t_th, spec)
-    fu = outage_fso(spec, pol.gamma_f_th_u)
-    fl = outage_fso(spec, pol.gamma_f_th_l)
-    p_low, p_hig = fl.value, 1.0 - fu.value
-    p_off = soft_fso_off_probability(p_low, fu.value - fl.value, p_hig)
-    value = (cfu.value + p_off * ct.value
-             + (cfl.value - cfu.value) * p_hig / (p_low + p_hig))
-    return _merge(value, cfu, cfl, ct, fu, fl)
+    return _switched(_fso_states(spec), lambda g: capacity_fso(g, spec),
+                     lambda g: capacity_thz(g, spec))
 
 
 def capacity_e2e(spec: SystemSpec) -> KernelValue:
@@ -700,22 +649,6 @@ def _require_tau_match(spec: SystemSpec, mod: Modulation) -> None:
         raise DomainError(
             f"modulation {mod.name} implies FSO detection tau={mod.tau}, "
             f"spec has tau={spec.fso.detection_tau}")
-
-
-def _quad_aber_upper(pdf, gamma_th: float, mod: Modulation) -> KernelValue:
-    """A * int_th^inf erfc(sqrt(B_p g)) f(g) dg summed over p, by quadrature.
-
-    The part above the threshold is integrated directly, to relative
-    accuracy: where the lower-tail series cannot be trusted, "full minus
-    lower" cancels down to the rounding error of the full term.
-    """
-    def integrand(g):
-        err = sum(math.erfc(math.sqrt(b * g)) for b in mod.b_list)
-        return mod.a * err * pdf(g)
-
-    val, _ = integrate.quad(integrand, gamma_th, math.inf, limit=200,
-                            epsabs=0.0, epsrel=1e-9)
-    return KernelValue(val, frozenset({FLAG_TAIL_QUADRATURE}))
 
 
 def _lower_moment(k: float, x: np.ndarray) -> np.ndarray:
@@ -745,36 +678,30 @@ def _upper_moment(k: float, x: np.ndarray) -> np.ndarray:
     return np.exp(math.lgamma(k + 1.0) - k * np.log(x)) * special.gammaincc(k, x)
 
 
-def aber_fso(gamma_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
-    """FSO error mass above gamma_th, A sum_p E[erfc(sqrt(B_p gamma)); gamma >
-    gamma_th]: the FSO term of the hybrid ABER numerator.
+def _craig_knee(k: float, mod: Modulation) -> float:
+    """gamma_knee of the envelope min(1, (gamma_knee / gamma_max)^k) that
+    bounds the truncated moments of :func:`_craig_aber`."""
+    return math.exp(math.lgamma(k + 1.0) / k) / min(mod.b_list)
 
-    Given u = ln I_a the SNR is gamma_max h^tau, with P(gamma <= g | u) =
-    (g / gamma_max)^k, k = xi^2 / tau, below gamma_max = delta (A0 e^u)^tau.
-    Craig's form erfc(sqrt(B g)) = (2/pi) int_0^{pi/2} e^(-s g) dtheta, with
-    s = B / sin^2 theta, leaves the truncated moment
 
-        E[e^(-s gamma); gamma_th < gamma <= gamma_max | u]
+def _craig_aber(gamma_th: float, k: float, gmax: np.ndarray, w: np.ndarray,
+                mod: Modulation) -> float:
+    """A sum_p E[erfc(sqrt(B_p gamma)); gamma > gamma_th] on a ceiling rule.
+
+    Given the ceiling, gamma = gamma_max V with P(V <= v) = v^k.  Craig's
+    form erfc(sqrt(B g)) = (2/pi) int_0^{pi/2} e^(-s g) dtheta, with s = B /
+    sin^2 theta, leaves the truncated moment
+
+        E[e^(-s gamma); gamma_th < gamma <= gamma_max | gamma_max]
             = Gamma(k+1) (s gamma_max)^-k [P(k, s gamma_max) - P(k, s gamma_th)]
 
     for gamma_max > gamma_th, taken as a difference of Q where s gamma_th
     > k, so that no two nearly equal terms cancel; every term is positive.
-    The expectation over u runs on :func:`channel_fso.fso_ceiling_rule`,
-    windowed on the envelope min(1, (gamma_knee / gamma_max)^k) with
-    gamma_knee = Gamma(k+1)^(1/k) / min_p B_p, and theta on the 64-node rule
-    of :func:`aber_access`.  (The source composes this term as the
-    full-range average plus the below-threshold one; the sign is a minus,
-    and this form needs neither.)
+    theta runs on the rule of :func:`aber_access`.  The rule must
+    start at gamma_lo = gamma_th, windowed on the envelope of
+    :func:`_craig_knee`.
     """
-    _require_tau_match(spec, mod)
-    if gamma_th < 0:
-        raise DomainError("gamma_th must be >= 0")
-    fso = spec.fso
-    k = fso.pointing.xi ** 2 / fso.detection_tau
     b = np.array(mod.b_list)
-    knee = math.exp(math.lgamma(k + 1.0) / k) / float(b.min())
-    gmax, w = channel_fso.fso_ceiling_rule(gamma_th, knee, fso,
-                                           spec.transmit_snr_db)
     s = (b[:, None] * _CRAIG_INV_SIN2).reshape(-1, 1)
     x_max = s * gmax
     x_th = s * gamma_th
@@ -786,111 +713,37 @@ def aber_fso(gamma_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
     term[~low] = (r_k * _upper_moment(k, x_th[~low])
                   - _upper_moment(k, x_max[~low]))
     moments = (term @ w).reshape(len(b), -1)
-    return KernelValue(2.0 * mod.a / math.pi
-                       * float(np.sum(moments @ _CRAIG_WEIGHTS)))
+    return 2.0 * mod.a / math.pi * float(np.sum(moments @ _CRAIG_WEIGHTS))
 
 
-def _aber_thz_full(spec: SystemSpec, mod: Modulation) -> KernelValue:
-    """Threshold-free THz ABER via the duplicated identity (integer alpha)."""
-    thz = spec.thz
-    alpha = thz.alpha
-    if abs(alpha - round(alpha)) > 1e-9:
-        val = _quad_aber_thz_range(spec, mod, 0.0, math.inf)
-        return KernelValue(val, frozenset({FLAG_NONINT_ALPHA}))
-    ai = int(round(alpha))
-    gbar = thz.gamma_bar(spec.transmit_snr_db)
-    xi2 = thz.xi_t ** 2
-    c = xi2 / 2.0
-    rho5 = (tuple((j - c) / alpha for j in range(1, ai + 1))
-            + tuple((j - c - 0.5) / alpha for j in range(1, ai + 1))
-            + (0.5, 1.0))
-    rho6 = ((0.0, 0.5, thz.c2 / 2.0, (thz.c2 + 1.0) / 2.0)
-            + tuple((j - c - 1.0) / alpha for j in range(1, ai + 1)))
-    total = 0.0
-    flags = set()
-    for b in mod.b_list:
-        z = thz.c3 ** 2 * alpha ** alpha / (4.0 * gbar ** alpha * b ** alpha)
-        g = specfun.meijer_g(specfun.MeijerGSpec(
-            a_front=rho5[:2 * ai], a_back=rho5[2 * ai:],
-            b_front=rho6[:4], b_back=rho6[4:], z=z))
-        flags |= g.flags
-        if g.value <= 0.0:
-            continue
-        logv = (math.log(mod.a / (2.0 * math.sqrt(math.pi))) + thz.log_c1
-                + (thz.c2 - 0.5) * math.log(2.0)
-                + (c - 1.0) * math.log(alpha)
-                - c * math.log(gbar)
-                - (alpha / 2.0) * math.log(2.0 * math.pi)
-                - c * math.log(b)
-                + math.log(g.value))
-        total += _exp_or_zero(logv)
-    return KernelValue(total, frozenset(flags))
+def aber_fso(gamma_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
+    """FSO error mass above gamma_th, A sum_p E[erfc(sqrt(B_p gamma)); gamma >
+    gamma_th]: the FSO term of the hybrid ABER numerator.
 
-
-def _quad_aber_thz_range(spec: SystemSpec, mod: Modulation,
-                         lo: float, hi: float) -> float:
-    def integrand(g):
-        err = sum(math.erfc(math.sqrt(b * g)) for b in mod.b_list)
-        return mod.a * err * channel_thz.thz_snr_pdf(
-            g, spec.thz, spec.transmit_snr_db).value
-
-    gbar = spec.thz.gamma_bar(spec.transmit_snr_db)
-    return _quad_split(integrand, lo, hi, min(1.0 / max(mod.b_list), gbar))
-
-
-def _aber_thz_lower(gamma_th: float, spec: SystemSpec,
-                    mod: Modulation) -> KernelValue | None:
-    """Below-threshold THz ABER term; None beyond the erfc-series bound."""
-    thz = spec.thz
-    if max(mod.b_list) * gamma_th > ERFC_SERIES_MAX_ARG:
-        return None
-    gbar = thz.gamma_bar(spec.transmit_snr_db)
-    xi2 = thz.xi_t ** 2
-    log_ratio = xi2 / 2.0 * math.log(gamma_th / gbar)
-    cdf_g = _thz_cdf_g(gamma_th, spec)
-    flags = set(cdf_g.flags)
-    total = 0.0
-    for b in mod.b_list:
-        series = 0.0
-        coeff = 2.0 / math.sqrt(math.pi)
-        for j in range(specfun.SERIES_MAX_TERMS):
-            ex = (2 * j + 1) / 2.0
-            g = specfun.meijer_g(specfun.MeijerGSpec(
-                a_front=(1.0 - (xi2 + 2 * j + 1) / thz.alpha,), a_back=(1.0,),
-                b_front=(0.0, thz.c2),
-                b_back=(-(xi2 + 2 * j + 1) / thz.alpha,),
-                z=thz.c3 * (gamma_th / gbar) ** (thz.alpha / 2.0)))
-            term = (coeff * (b * gamma_th) ** ex / (2 * j + 1)
-                    * _exp_or_zero(log_ratio) * g.value)
-            series += term
-            flags |= g.flags
-            if abs(term) < specfun.SERIES_REL_TOL * max(abs(series), 1e-300):
-                break
-            coeff *= -1.0 / (j + 1.0)
-        else:
-            flags.add(specfun.FLAG_TRUNCATION_CAP)
-        piece = _exp_or_zero(log_ratio) * cdf_g.value - series
-        total += mod.a * thz.c1 / thz.alpha * piece
-    return KernelValue(total, frozenset(flags))
+    :func:`_craig_aber` on :func:`channel_fso.fso_ceiling_rule`, k = xi^2 /
+    tau.  (The source composes this term as the full-range average plus the
+    below-threshold one; the sign is a minus, and this form needs neither.)
+    """
+    _require_tau_match(spec, mod)
+    if gamma_th < 0:
+        raise DomainError("gamma_th must be >= 0")
+    fso = spec.fso
+    k = fso.pointing.xi ** 2 / fso.detection_tau
+    gmax, w = channel_fso.fso_ceiling_rule(gamma_th, _craig_knee(k, mod), fso,
+                                           spec.transmit_snr_db)
+    return KernelValue(_craig_aber(gamma_th, k, gmax, w, mod))
 
 
 def aber_thz(gamma_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
-    """Average BER of the THz link conditioned on transmission above gamma_th.
-
-    Beyond the erfc-series bound the part above the threshold is integrated
-    directly and flagged ``tail-quadrature``, as in :func:`aber_fso`.
-    """
+    """THz error mass above gamma_th, A sum_p E[erfc(sqrt(B_p gamma)); gamma >
+    gamma_th]: :func:`_craig_aber` on :func:`channel_thz.thz_ceiling_rule`,
+    k = xi^2 / 2."""
     if gamma_th < 0:
         raise DomainError("gamma_th must be >= 0")
-    if gamma_th == 0.0:
-        return _aber_thz_full(spec, mod)
-    lower = _aber_thz_lower(gamma_th, spec, mod)
-    if lower is None:
-        return _quad_aber_upper(
-            lambda g: channel_thz.thz_snr_pdf(g, spec.thz, spec.transmit_snr_db).value,
-            gamma_th, mod)
-    full = _aber_thz_full(spec, mod)
-    return _merge(max(full.value - lower.value, 0.0), full, lower)
+    k = spec.thz.xi_t ** 2 / 2.0
+    gmax, w = channel_thz.thz_ceiling_rule(gamma_th, _craig_knee(k, mod),
+                                           spec.thz, spec.transmit_snr_db)
+    return KernelValue(_craig_aber(gamma_th, k, gmax, w, mod))
 
 
 def aber_access(gamma_r_th: float, spec: SystemSpec, mod: Modulation) -> KernelValue:
@@ -900,7 +753,7 @@ def aber_access(gamma_r_th: float, spec: SystemSpec, mod: Modulation) -> KernelV
     turns each term into a truncated moment of the Gamma(k, rate r) SNR,
         E[exp(-s gamma); gamma > gamma_th] = (r/s)^k Q(k, s gamma_th),
     s = r + B_p / sin^2 theta, so the integrand over theta is never negative;
-    it runs on a fixed 64-node Gauss-Legendre rule.
+    it runs on a fixed 64-node rule (Gauss-Legendre in sqrt(theta)).
     """
     if gamma_r_th < 0:
         raise DomainError("gamma_r_th must be >= 0")
@@ -912,32 +765,29 @@ def aber_access(gamma_r_th: float, spec: SystemSpec, mod: Modulation) -> KernelV
                        * float(np.sum(moments @ _CRAIG_WEIGHTS)))
 
 
+def _aber_numerator(spec: SystemSpec, mod: Modulation, states) -> KernelValue:
+    return _switched(states, lambda g: aber_fso(g, spec, mod),
+                     lambda g: aber_thz(g, spec, mod))
+
+
 def aber_hybrid_unconditional(spec: SystemSpec, mod: Modulation) -> KernelValue:
     """Numerator of the hybrid ABER: error mass carried by transmitted slots."""
     _require_tau_match(spec, mod)
-    pol = spec.policy
-    if isinstance(pol, HardPolicy):
-        bf = aber_fso(pol.gamma_th, spec, mod)
-        bt = aber_thz(pol.gamma_th, spec, mod)
-        ff = outage_fso(spec, pol.gamma_th)
-        return _merge(bf.value + ff.value * bt.value, bf, bt, ff)
-    bfu = aber_fso(pol.gamma_f_th_u, spec, mod)
-    bfl = aber_fso(pol.gamma_f_th_l, spec, mod)
-    bt = aber_thz(pol.gamma_t_th, spec, mod)
-    fu = outage_fso(spec, pol.gamma_f_th_u)
-    fl = outage_fso(spec, pol.gamma_f_th_l)
-    p_low, p_hig = fl.value, 1.0 - fu.value
-    p_off = soft_fso_off_probability(p_low, fu.value - fl.value, p_hig)
-    value = (bfu.value + p_off * bt.value
-             + (bfl.value - bfu.value) * p_hig / (p_low + p_hig))
-    return _merge(value, bfu, bfl, bt, fu, fl)
+    return _aber_numerator(spec, mod, _fso_states(spec))
 
 
 def aber_hybrid(spec: SystemSpec, mod: Modulation) -> KernelValue:
-    """Hybrid-link ABER normalized by the non-outage probability."""
-    num = aber_hybrid_unconditional(spec, mod)
-    p_out = outage_hybrid(spec)
-    return _merge(num.value / (1.0 - p_out.value), num, p_out)
+    """Hybrid-link ABER normalized by the non-outage probability.
+
+    1 - P_out is built from survivals, p_on + p_off P(gamma_T > gamma_t),
+    not as 1 minus an outage near 1.
+    """
+    _require_tau_match(spec, mod)
+    states = _fso_states(spec)
+    (_, _, g_t), p_off, p_on, _ = states
+    num = _aber_numerator(spec, mod, states)
+    st = channel_thz.thz_snr_survival(g_t, spec.thz, spec.transmit_snr_db)
+    return _merge(num.value / (p_on + p_off * st.value), num, st)
 
 
 def aber_e2e(spec: SystemSpec, mod: Modulation) -> KernelValue:

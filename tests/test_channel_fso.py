@@ -5,12 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from fsothz import channel_fso, figures, specfun
 from fsothz.channel_fso import (PointingGeometry, attenuation,
                                 attenuation_coefficient_per_km, fso_snr_cdf,
-                                fso_snr_pdf, rytov_turbulence_params)
+                                fso_snr_pdf, fso_snr_survival,
+                                rytov_turbulence_params)
 from fsothz.errors import DomainError, MeijerGUnsupportedError
 
 from conftest import fso_spec
@@ -159,8 +160,47 @@ class TestPdfAgainstMpmath:
         assert fso_snr_pdf(50.0, spec, 5.3).flags == frozenset()
 
 
-def _mpmath_cdf(gamma, spec, snr_db):
-    """P(I_a I_p <= A0 c) as G^{3,1}_{2,4}, by mpmath at 30 digits."""
+class TestPeakSearch:
+    """The rule's Newton peak search against brentq on the density grid."""
+
+    def test_density_matches_brentq_peak(self, monkeypatch):
+        points = []
+        for geometry in sorted(DENSITY_GEOMETRIES):
+            for tau in (1, 2):
+                spec = fso_spec(tau=tau, **DENSITY_GEOMETRIES[geometry])
+                scale = spec.pointing.a0 / (spec.alpha_f * spec.beta_f)
+                for z in np.geomspace(1e-3, 1e3, 13):
+                    points.append(
+                        (spec.delta_tau(SNR_DB) * (z * scale) ** tau, spec))
+        searches = []
+        newton = channel_fso._log_gg_peak
+
+        def counted(*args):
+            searches.append(args)
+            return newton(*args)
+
+        monkeypatch.setattr(channel_fso, "_log_gg_peak", counted)
+        got = [fso_snr_pdf(gamma, spec, SNR_DB).value for gamma, spec in points]
+        assert len(searches) > 10
+
+        def brentq_peak(lo, hi, z0, nu, slope):
+            return optimize.brentq(
+                lambda s: channel_fso._log_gg_derivatives(s, z0, nu, slope)[0],
+                lo, hi, xtol=1e-9, rtol=1e-12)
+
+        monkeypatch.setattr(channel_fso, "_log_gg_peak", brentq_peak)
+        for (gamma, spec), value in zip(points, got):
+            assert value == pytest.approx(fso_snr_pdf(gamma, spec, SNR_DB).value,
+                                          rel=1e-13, abs=0.0), gamma
+        for args in searches:
+            peak = newton(*args)
+            assert args[0] < peak < args[1]
+            assert peak == pytest.approx(brentq_peak(*args), abs=1e-8)
+
+
+def _mpmath_cdf(gamma, spec, snr_db, survival=False):
+    """P(I_a I_p <= A0 c) as G^{3,1}_{2,4}, by mpmath at 30 digits (or 1
+    minus it at 30 digits)."""
     tau = spec.detection_tau
     with mpmath.workdps(30):
         xi2 = mpmath.mpf(spec.pointing.xi) ** 2
@@ -168,7 +208,8 @@ def _mpmath_cdf(gamma, spec, snr_db):
         z = (al * be / spec.pointing.a0
              * (mpmath.mpf(gamma) / spec.delta_tau(snr_db)) ** (mpmath.mpf(1) / tau))
         g = mpmath.meijerg([[1], [xi2 + 1]], [[xi2, al, be], [0]], z)
-        return float(xi2 / (mpmath.gamma(al) * mpmath.gamma(be)) * g)
+        cdf = xi2 / (mpmath.gamma(al) * mpmath.gamma(be)) * g
+        return float(1 - cdf if survival else cdf)
 
 
 def _residue_cdf(gamma, spec, snr_db):
@@ -248,7 +289,25 @@ class TestCdfAgainstMpmath:
         monkeypatch.setattr(specfun, "meijer_g_contour", counted_contour)
         for spec, snr, gamma in _preset_cdf_points():
             fso_snr_cdf(gamma, spec, snr)
+            fso_snr_survival(gamma, spec, snr)
         assert calls["contour"] == 0
+
+    def test_survival_on_the_cdf_route(self):
+        # 1 - F on the residue series; on the kernel the survival itself,
+        # which keeps its digits where F rounds to 1
+        kernel = 0
+        for spec, snr, gamma in _preset_cdf_points():
+            got = fso_snr_survival(gamma, spec, snr).value
+            if _residue_cdf(gamma, spec, snr) is not None:
+                assert got == 1.0 - fso_snr_cdf(gamma, spec, snr).value
+                continue
+            kernel += 1
+            assert got == pytest.approx(
+                _mpmath_cdf(gamma, spec, snr, survival=True),
+                rel=1e-12, abs=0.0), (snr, gamma)
+            assert got + fso_snr_cdf(gamma, spec, snr).value == pytest.approx(
+                1.0, abs=1e-15)
+        assert kernel > 10
 
 
 class TestSnrDistribution:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,7 +10,8 @@ from scipy import special as sp
 
 from fsothz.channel_thz import (SPEED_OF_LIGHT, ThzEnvironment, ThzLinkSpec,
                                 absorption_total, default_rx_radius_m,
-                                thz_path_gain, thz_snr_cdf, thz_snr_pdf,
+                                thz_ceiling_rule, thz_path_gain, thz_snr_cdf,
+                                thz_snr_pdf, thz_snr_survival,
                                 water_vapor_fraction)
 from fsothz.errors import DomainError
 
@@ -220,3 +222,72 @@ class TestSnrDistribution:
         with pytest.raises(DomainError):
             ThzLinkSpec(env=_env(), alpha=0.0, mu=1.0, n_rx=1, omega=1.0,
                         pointing=thz_spec().pointing)
+
+
+def _scaled_quad(f, points):
+    """mpmath.quad of f over the breakpoints, relative to f's largest value
+    on them (mpmath's tolerance is absolute)."""
+    top = max(f(p) for p in points[:-1])
+    return top * mpmath.quad(lambda y: f(y) / top, points)
+
+
+def _mpmath_fading_law(gamma, spec, snr_db):
+    """(CDF, survival) of the THz SNR by mpmath.quad over the fading Y.
+
+    Given Y ~ Gamma(n), n = N_r mu, P(gamma <= g | Y) = min(1, (z / Y)^rho)
+    with z = C3 (g / gamma_bar)^(alpha / 2) and rho = xi^2 / alpha, so
+    F = P(Y <= z) + E[(z / Y)^rho; Y > z] and 1 - F = E[1 - (z / Y)^rho;
+    Y > z], each integrated at 20 digits with breakpoints at z + 4^j, at
+    z 4^j up to n and across the Gamma bulk.
+    """
+    with mpmath.workdps(20):
+        n = mpmath.mpf(spec.n_rx) * spec.mu
+        rho = mpmath.mpf(spec.xi_t) ** 2 / spec.alpha
+        z = (mpmath.mpf(spec.c3) * (mpmath.mpf(gamma) / spec.gamma_bar(snr_db))
+             ** (mpmath.mpf(spec.alpha) / 2))
+
+        def density(y):
+            return mpmath.exp((n - 1) * mpmath.log(y) - y - mpmath.loggamma(n))
+
+        points = ({z + mpmath.mpf(4) ** j for j in range(-2, 4)}
+                  | {n + i * mpmath.sqrt(n) for i in range(-2, 8, 2)}
+                  | {z * mpmath.mpf(4) ** j for j in range(1, 40)
+                     if z * mpmath.mpf(4) ** (j - 1) < n})
+        points = [z] + sorted(p for p in points if p > z) + [mpmath.inf]
+        below = _scaled_quad(lambda y: (z / y) ** rho * density(y), points)
+        above = _scaled_quad(
+            lambda y: -mpmath.expm1(rho * mpmath.log(z / y)) * density(y), points)
+        head = mpmath.gammainc(n, 0, z, regularized=True)
+        return float(head + below), float(above)
+
+
+class TestCeilingRule:
+    """The rule over ln Y against the closed-form CDF and mpmath."""
+
+    @pytest.mark.parametrize("n_rx,mu,jitter", [(2, 3.0, 0.06), (1, 1.0, 0.2)])
+    def test_cdf_and_survival(self, n_rx, mu, jitter):
+        spec = thz_spec(mu=mu, n_rx=n_rx, jitter_std_m=jitter)
+        n, k = n_rx * mu, 0.5 * spec.xi_t ** 2
+        for snr in (0.0, 70.0):
+            gbar = spec.gamma_bar(snr)
+            for gamma in gbar * np.array([1e-4, 1e-2, 1.0, 10.0]):
+                # F = P(Y <= z) + E[(gamma / gamma_max)^k; gamma_max > gamma]
+                z = spec.c3 * (gamma / gbar) ** (spec.alpha / 2.0)
+                gmax, w = thz_ceiling_rule(gamma, gamma, spec, snr)
+                cdf = sp.gammainc(n, z) + float(np.dot(w, (gamma / gmax) ** k))
+                want_cdf, want_sf = _mpmath_fading_law(gamma, spec, snr)
+                at = (snr, gamma / gbar)
+                assert cdf == pytest.approx(want_cdf, rel=1e-12, abs=0.0), at
+                assert cdf == pytest.approx(thz_snr_cdf(gamma, spec, snr).value,
+                                            rel=1e-12, abs=0.0), at
+                # the survival keeps its digits where the CDF rounds to 1
+                assert thz_snr_survival(gamma, spec, snr).value == pytest.approx(
+                    want_sf, rel=1e-12, abs=0.0), at
+
+    def test_survival_domain(self):
+        spec = thz_spec()
+        assert thz_snr_survival(0.0, spec, SNR_DB).value == 1.0
+        with pytest.raises(DomainError):
+            thz_snr_survival(-1.0, spec, SNR_DB)
+        with pytest.raises(DomainError):
+            thz_ceiling_rule(1.0, 0.0, spec, SNR_DB)

@@ -1,12 +1,19 @@
 """Config round-trip, CSV schema, determinism and exit-code tests."""
 
+import ast
 import io
+import os
+import pickle
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import fsothz
 import fsothz.metrics_analytic as ma
-from fsothz import cli
+from fsothz import channel_fso, channel_thz, cli
 from fsothz.config import (bundled_config_path, load_config, parse_config,
                            serialize_config)
 from fsothz.errors import ConfigError
@@ -71,6 +78,41 @@ class TestConfig:
         point = cfg.with_sweep_value(4)
         assert point.sections["thz"]["n_rx"] == 4
         assert point.sections["access"]["n_tx"] == 4
+
+    def test_spec_pickle_round_trip(self):
+        # pool workers pickle what they return, and specs carry constants
+        # derived once, when they are made, outside equality and hashing
+        spec = load_config(bundled_config_path("fig13")).system_spec(20.0)
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec and hash(again) == hash(spec)
+        assert ((again.fso.alpha_f, again.fso.beta_f, again.fso.i_l,
+                 again.thz.h_l) == (spec.fso.alpha_f, spec.fso.beta_f,
+                                    spec.fso.i_l, spec.thz.h_l))
+        mod = ma.Modulation.bpsk()
+        assert ma.aber_e2e(again, mod) == ma.aber_e2e(spec, mod)
+        assert ma.capacity_e2e(again) == ma.capacity_e2e(spec)
+
+    def test_derived_constants_computed_once(self, monkeypatch):
+        spec = load_config(bundled_config_path("fig13")).system_spec(20.0)
+        assert (spec.fso.alpha_f, spec.fso.beta_f) == (
+            channel_fso.rytov_turbulence_params(
+                spec.fso.cn2, spec.fso.wavelength_m, spec.fso.length_m))
+        assert spec.fso.i_l == channel_fso.attenuation(
+            spec.fso.visibility_km, spec.fso.wavelength_m, spec.fso.length_m)
+        assert spec.thz.h_l == channel_thz.thz_path_gain(spec.thz.env)
+        # equality and the shared-instance cache key on the input fields
+        again = load_config(bundled_config_path("fig13")).system_spec(30.0)
+        assert again.fso is spec.fso and again.thz is spec.thz
+        calls = []
+        for module, attr in ((channel_fso, "rytov_turbulence_params"),
+                             (channel_fso, "attenuation"),
+                             (channel_thz, "thz_path_gain")):
+            monkeypatch.setattr(module, attr,
+                                lambda *args, attr=attr: calls.append(attr))
+        ma.aber_e2e(spec, ma.Modulation.bpsk())
+        ma.capacity_e2e(spec)
+        ma.outage_e2e(spec)
+        assert calls == []
 
 
 def _parse_csv(text):
@@ -278,3 +320,62 @@ class TestFigures:
             vals = [v for _, v in pts]
             kmin = vals.index(min(vals))
             assert 0 < kmin < len(vals) - 1, f"{label}: no interior minimum"
+
+
+class TestImportSet:
+    """A run loads numpy and scipy.special, not scipy.integrate or .optimize."""
+
+    def test_figure_points_and_estimate_load_neither(self):
+        src = os.path.dirname(os.path.dirname(fsothz.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        script = (
+            "import sys\n"
+            "import fsothz.cli as cli\n"
+            "from fsothz import figures, monte_carlo as mc\n"
+            "for fig_id in figures.FIGURE_IDS:\n"
+            "    for job in figures.figure_jobs(fig_id):\n"
+            "        cfg = job.config\n"
+            "        values = job.sweep_values or tuple(cfg.sweep.values())\n"
+            "        methods = tuple(m for m in job.methods if m != 'mc')\n"
+            "        cli._point_rows(cfg, job.command, methods, job.links,\n"
+            "                        float(values[0]), 1, mc.MIN_SAMPLES,\n"
+            "                        job.label, job.capacity_variant,\n"
+            "                        job.modulation)\n"
+            "spec = figures.figure_jobs('fig5')[1].config.system_spec()\n"
+            "mc.estimate_outage(spec, mc.MIN_SAMPLES, 1, 'e2e')\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize')\n"
+            "             if m in sys.modules))\n"
+            "import fsothz.metrics_analytic as ma\n"
+            "print(callable(ma.integrate.quad))\n")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        assert out.stdout.split("\n")[:2] == ["[]", "True"]
+
+    def test_no_source_refers_to_either(self):
+        # scipy.integrate appears only in metrics_analytic's module
+        # __getattr__, which the benchmark's tracer reads
+        for path in sorted(Path(fsothz.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            lazy = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    and fn.name == "__getattr__"
+                    for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}"
+                             for alias in node.names]
+                else:
+                    names = []
+                for name in names:
+                    assert not name.startswith("scipy.optimize"), path.name
+                    assert (not name.startswith("scipy.integrate")
+                            or id(node) in lazy), path.name
+                if isinstance(node, ast.Attribute):
+                    assert not (isinstance(node.value, ast.Name)
+                                and node.value.id in ("integrate", "optimize")
+                                ), (path.name, node.lineno)

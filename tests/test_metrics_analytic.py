@@ -13,7 +13,7 @@ from fsothz.channel_access import access_snr_pdf
 from fsothz.channel_fso import fso_snr_pdf
 from fsothz.channel_thz import thz_snr_pdf
 from fsothz.errors import DomainError
-from fsothz.switching import HardPolicy, SoftPolicy, soft_fso_off_probability
+from fsothz.switching import HardPolicy, SoftPolicy, activation_threshold
 
 from conftest import GTH_5DB, access_spec, soft_policy, system_spec
 
@@ -145,30 +145,101 @@ def _quad_capacity(pdf, gamma_th, anchor, xi=1.0):
     return head + tail
 
 
+def _fso_capacity_oracle(gamma_th, spec):
+    """int_th^inf log2(1 + xi g) f(g) dg by adaptive quadrature of the FSO
+    density (itself checked against mpmath) at epsrel 1e-12, split at 1.5,
+    3, 10 and 100 times the threshold and at 1e-3 to 100 times the SNR
+    scale delta A0^tau; xi = e / (2 pi) for IM/DD."""
+    fso, snr = spec.fso, spec.transmit_snr_db
+    tau = fso.detection_tau
+    xi = math.e / (2.0 * math.pi) if tau == 2 else 1.0
+
+    def integrand(g):
+        return math.log1p(xi * g) * fso_snr_pdf(g, fso, snr).value
+
+    scale = fso.delta_tau(snr) * fso.pointing.a0 ** tau
+    edges = ({gamma_th * f for f in (1.5, 3.0, 10.0, 100.0)}
+             | {scale * f for f in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)})
+    edges = [gamma_th] + sorted(e for e in edges if e > gamma_th) + [math.inf]
+    return sum(integrate.quad(integrand, lo, hi, limit=400, epsabs=0.0,
+                              epsrel=1e-12)[0]
+               for lo, hi in zip(edges, edges[1:])) / math.log(2.0)
+
+
+def _thz_oracle(gamma_th, spec, weight, scales=()):
+    """E[weight(gamma_T); gamma_T > gamma_th] by nested adaptive quadrature.
+
+    The THz law is written as the mixture it is: the fading variate Y ~
+    Gamma(n), n = N_r mu, with density y^(n-1) e^-y / Gamma(n), and given Y
+    the SNR gamma_max h^2 with gamma_max = gamma_bar (A0 Omega)^2 (Y /
+    n)^(2 / alpha) and the pointing law's density k g^(k-1) / gamma_max^k,
+    k = xi^2 / 2.  The outer quadrature over Y (epsrel 1e-12) splits at
+    the threshold's Y, just above it, and across the Gamma bulk; the inner
+    one over g (epsrel 1e-13) splits at the ``scales`` where the weight
+    bends (1 / B_p for erfc(sqrt(B_p g))) and stops 80 of the largest
+    scale above the threshold, past which erfc is below e^-80.  (The
+    closed-form THz density loses digits in its far upper tail, where the
+    low-SNR capacities and ABER live.)
+    """
+    thz = spec.thz
+    n = thz.n_rx * thz.mu
+    k = 0.5 * thz.xi_t ** 2
+    c = 2.0 / thz.alpha
+    scale = thz.gamma_bar(spec.transmit_snr_db) * (thz.a0_t * thz.omega) ** 2
+    cut = gamma_th + 80.0 * max(scales) if scales else math.inf
+
+    def given(y):
+        m = scale * (y / n) ** c
+        hi = min(m, cut)
+        points = sorted({gamma_th, hi} | {f * b for b in scales
+                                          for f in (1.0, 4.0, 16.0)
+                                          if gamma_th < f * b < hi})
+        val = sum(integrate.quad(
+            lambda t: weight(m * t) * k * t ** (k - 1.0), lo / m, up / m,
+            limit=200, epsabs=0.0, epsrel=1e-13)[0]
+            for lo, up in zip(points, points[1:]))
+        return val * math.exp((n - 1.0) * math.log(y) - y - math.lgamma(n))
+
+    y_th = n * (gamma_th / scale) ** (1.0 / c)
+    edges = ({y_th * (1.0 + 2.0 ** j / k) for j in range(-4, 6)}
+             | {n + i * math.sqrt(n) for i in range(-4, 9, 2)})
+    edges = [y_th] + sorted(e for e in edges if e > y_th) + [math.inf]
+    return sum(integrate.quad(given, lo, hi, limit=200, epsabs=0.0,
+                              epsrel=1e-12)[0]
+               for lo, hi in zip(edges, edges[1:]))
+
+
+def _thz_capacity_oracle(gamma_th, spec):
+    return _thz_oracle(gamma_th, spec,
+                       lambda g: math.log1p(g) / math.log(2.0))
+
+
+def _thz_aber_oracle(gamma_th, spec, mod):
+    return _thz_oracle(
+        gamma_th, spec,
+        lambda g: mod.a * sum(math.erfc(math.sqrt(b * g)) for b in mod.b_list),
+        tuple(1.0 / b for b in mod.b_list))
+
+
 class TestCapacity:
     def test_threshold_zero_is_full_range(self):
         spec = system_spec(snr_db=35.0)
-        full = ma.capacity_fso(0.0, spec).value
-        want = _quad_capacity(
-            lambda g: fso_snr_pdf(g, spec.fso, 35.0).value, 1e-12,
-            spec.fso.delta_tau(35.0))
-        assert full == pytest.approx(want, abs=1e-3)
+        assert ma.capacity_fso(0.0, spec).value == pytest.approx(
+            _fso_capacity_oracle(0.0, spec), rel=1e-9, abs=0.0)
+        assert ma.capacity_thz(0.0, spec).value == pytest.approx(
+            _thz_capacity_oracle(0.0, spec), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("snr", [30.0, 40.0, 50.0])
     def test_fso_matches_quadrature(self, snr):
         spec = system_spec(snr_db=snr)
-        got = ma.capacity_fso(GTH_5DB, spec).value
-        want = _quad_capacity(lambda g: fso_snr_pdf(g, spec.fso, snr).value,
-                              GTH_5DB, spec.fso.delta_tau(snr))
-        assert got == pytest.approx(want, abs=1e-3)
+        assert ma.capacity_fso(GTH_5DB, spec).value == pytest.approx(
+            _fso_capacity_oracle(GTH_5DB, spec), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("snr", [30.0, 40.0, 50.0])
     def test_thz_matches_quadrature(self, snr):
         spec = system_spec(snr_db=snr)
-        got = ma.capacity_thz(GTH_5DB, spec).value
-        want = _quad_capacity(lambda g: thz_snr_pdf(g, spec.thz, snr).value,
-                              GTH_5DB, spec.thz.gamma_bar(snr))
-        assert got == pytest.approx(want, abs=1e-3)
+        assert ma.capacity_thz(GTH_5DB, spec).value == pytest.approx(
+            _thz_capacity_oracle(GTH_5DB, spec), rel=1e-9, abs=0.0)
 
     # m = 3, N_t = 5 from 11 to 13.5 dB puts rate * gamma_th between 13 and
     # 23, where an alternating lower-tail series cancels catastrophically
@@ -209,16 +280,18 @@ class TestCapacity:
             ma.capacity_hybrid(hard).value, abs=1e-9)
 
     def test_low_snr_divergence_flagged_not_hidden(self):
-        # the printed closed form deviates at 0 dB and the result says so
+        # the printed identity (fig14a "closed") deviates at 0 dB and says
+        # so; the production kernel matches quadrature and carries no flag
         spec = system_spec(snr_db=0.0)
-        closed = ma.capacity_fso(GTH_5DB, spec, closed_form_only=True)
-        want = _quad_capacity(lambda g: fso_snr_pdf(g, spec.fso, 0.0).value,
-                              GTH_5DB, spec.fso.delta_tau(0.0))
-        assert abs(closed.value - want) > 1e-3  # documented divergence
-        assert ma.FLAG_LOW_SNR_CAPACITY in closed.flags
-        production = ma.capacity_fso(GTH_5DB, spec)
-        assert production.value == pytest.approx(want, abs=1e-3)
-        assert ma.FLAG_LOW_SNR_CAPACITY in production.flags
+        for fn, oracle in ((ma.capacity_fso, _fso_capacity_oracle),
+                           (ma.capacity_thz, _thz_capacity_oracle)):
+            want = oracle(GTH_5DB, spec)
+            closed = fn(GTH_5DB, spec, closed_form_only=True)
+            assert abs(closed.value - want) > 1e-3  # documented divergence
+            assert ma.FLAG_LOW_SNR_CAPACITY in closed.flags
+            production = fn(GTH_5DB, spec)
+            assert production.value == pytest.approx(want, rel=1e-9, abs=0.0)
+            assert not production.flags
 
     def test_e2e_is_min(self):
         spec = system_spec(snr_db=40.0)
@@ -402,6 +475,78 @@ class TestFsoAberKernel:
         assert calls["contour"] == 1
 
 
+def _preset_points(fig_id, label):
+    """(spec, SNR) of a preset job at 0 to 70 dB in 5 dB steps."""
+    job = {j.label: j for j in figures.figure_jobs(fig_id)}[label]
+    return [(job.config.with_sweep_value(float(snr)).system_spec(), snr)
+            for snr in range(0, 75, 5)]
+
+
+THZ_ABER_CASES = ([("fig12", label) for label in ("hard_str_a", "hard_mod_b")]
+                  + [("fig13", label) for label in ("64qam", "ook")])
+
+
+class TestThzAberKernel:
+    """aber_thz against nested quadrature of erfc over the THz mixture.
+
+    fig12's soft jobs share their hard twins' THz threshold, fig13's BPSK
+    job the THz link of fig12 hard_mod_b, and its other jobs that link with
+    B_p among those of 64-QAM and OOK.  The Meijer-G form this replaced
+    left 3.6e-15 where the fig13 4-PSK ABER at 0 dB is 0.
+    """
+
+    @pytest.mark.parametrize("fig_id,label", THZ_ABER_CASES,
+                             ids=[f"{f}-{l}" for f, l in THZ_ABER_CASES])
+    def test_matches_nested_quadrature(self, fig_id, label):
+        job = {j.label: j for j in figures.figure_jobs(fig_id)}[label]
+        mod = job.modulation or job.config.modulation
+        for spec, snr in _preset_points(fig_id, label):
+            gamma_t = activation_threshold(spec.policy, "thz")
+            for gamma_th in (gamma_t, 0.0) if snr in (0, 35, 70) else (gamma_t,):
+                got = ma.aber_thz(gamma_th, spec, mod)
+                assert got.value == pytest.approx(
+                    _thz_aber_oracle(gamma_th, spec, mod),
+                    rel=1e-9, abs=0.0), (snr, gamma_th)
+                assert not got.flags
+
+    def test_fig13_4psk_equals_4qam_at_0db(self):
+        rows = {}
+        for label in ("4psk", "4qam"):
+            job = {j.label: j for j in figures.figure_jobs("fig13")}[label]
+            spec = job.config.with_sweep_value(0.0).system_spec()
+            assert ma.aber_thz(spec.policy.gamma_t_th, spec,
+                               job.modulation).value == 0.0
+            rows[label] = ma.aber_e2e(spec, job.modulation).value
+        assert rows["4psk"] == pytest.approx(rows["4qam"], rel=1e-12)
+
+
+CAPACITY_CASES = [("fig14b", "str_a"), ("fig14b", "mod_b")]
+
+
+class TestCapacityKernel:
+    """capacity_fso and capacity_thz on the fig14a/fig14b presets.
+
+    Every preset capacity job runs on the links of fig14b str_a or mod_b
+    (fig14a and the access jobs use mod_b's) at the 5 dB threshold.  The
+    "full minus lower" forms this replaces were off by 6.0e-4 at 20 dB
+    (mod_b) and left 2.5e-15 where the THz capacity is below 1e-300.
+    """
+
+    @pytest.mark.parametrize("link", ["fso", "thz"])
+    @pytest.mark.parametrize("fig_id,label", CAPACITY_CASES,
+                             ids=[f"{f}-{l}" for f, l in CAPACITY_CASES])
+    def test_matches_direct_quadrature(self, fig_id, label, link):
+        fn, oracle = {"fso": (ma.capacity_fso, _fso_capacity_oracle),
+                      "thz": (ma.capacity_thz, _thz_capacity_oracle)}[link]
+        for spec, snr in _preset_points(fig_id, label):
+            gamma = activation_threshold(spec.policy, link)
+            for gamma_th in (gamma, 0.0) if snr in (0, 35, 70) else (gamma,):
+                got = fn(gamma_th, spec)
+                assert got.value == pytest.approx(
+                    oracle(gamma_th, spec), rel=1e-9, abs=0.0), (snr, gamma_th)
+                assert not got.flags
+
+
 def _fso_upper_aber_oracle(gamma_th, spec, mod):
     """A sum_p E[erfc(sqrt(B_p gamma_F)); gamma_F > gamma_th], given I_a.
 
@@ -446,7 +591,7 @@ def _fso_upper_aber_oracle(gamma_th, spec, mod):
 
 
 class TestAberUpperTail:
-    """Escalated lower tails: the part above threshold is integrated directly.
+    """Thin upper tails, where "full minus lower" forms failed.
 
     fig12 soft moderate case (b) at 0 dB: almost no FSO mass lies above
     gamma_u (about 3e-10), and "full minus lower" returned 1.6e-9 there,
@@ -468,25 +613,27 @@ class TestAberUpperTail:
                 _direct_aber_oracle(gamma_th, spec, mod), rel=1e-7, abs=0.0)
 
     def test_hybrid_matches_direct_tails(self, spec):
+        # 1 - P_out is 3.2e-10 here: the oracle builds it from survivals,
+        # as 1 - P_out taken from an outage near 1 would carry 3e-7
         mod = Modulation.bpsk()
         pol = spec.policy
         b_fu = _fso_upper_aber_oracle(pol.gamma_f_th_u, spec, mod)
         b_fl = _fso_upper_aber_oracle(pol.gamma_f_th_l, spec, mod)
-        b_t, _ = integrate.quad(
-            lambda g: (mod.a * math.erfc(math.sqrt(g))
-                       * thz_snr_pdf(g, spec.thz, spec.transmit_snr_db).value),
-            pol.gamma_t_th, math.inf, limit=400, epsabs=0.0, epsrel=1e-11)
-        f_u = ma.outage_fso(spec, pol.gamma_f_th_u).value
-        f_l = ma.outage_fso(spec, pol.gamma_f_th_l).value
-        p_off = soft_fso_off_probability(f_l, f_u - f_l, 1.0 - f_u)
-        num = b_fu + p_off * b_t + (b_fl - b_fu) * (1.0 - f_u) / (f_l + 1.0 - f_u)
-        want = num / (1.0 - ma.outage_hybrid(spec).value)
+        b_t = _thz_aber_oracle(pol.gamma_t_th, spec, mod)
+        f_l = _mpmath_fso_cdf(pol.gamma_f_th_l, spec)
+        f_u = _mpmath_fso_cdf(pol.gamma_f_th_u, spec)
+        s_u = _mpmath_fso_cdf(pol.gamma_f_th_u, spec, survival=True)
+        s_t = _thz_oracle(pol.gamma_t_th, spec, lambda g: 1.0)
+        p_on = s_u / (f_l + s_u)
+        p_off = f_l + (f_u - f_l) * f_l / (f_l + s_u)
+        want = (b_fu + p_off * b_t + (b_fl - b_fu) * p_on) / (p_on + p_off * s_t)
         got = ma.aber_hybrid(spec, mod).value
-        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
         assert 0.0 <= got <= mod.a * mod.n0
 
     def test_thz_tail_beyond_series_bound(self):
-        # B gamma_th = 30 > 25: the erfc series is not used for the lower tail
+        # B gamma_th = 30: the Meijer-G erfc series this replaced could not
+        # be used, and the tail was integrated and flagged instead
         spec = system_spec(snr_db=40.0)
         mod = Modulation.bpsk()
         got = ma.aber_thz(30.0, spec, mod)
@@ -494,17 +641,21 @@ class TestAberUpperTail:
         want = sum(integrate.quad(
             lambda g: (mod.a * math.erfc(math.sqrt(g))
                        * thz_snr_pdf(g, spec.thz, 40.0).value),
-            lo, hi, limit=400, epsabs=1e-30, epsrel=1e-9)[0]
+            lo, hi, limit=400, epsabs=0.0, epsrel=1e-12)[0]
             for lo, hi in zip(edges, edges[1:]))
-        assert ma.FLAG_TAIL_QUADRATURE in got.flags
+        assert not got.flags
+        # the closed-form density itself is good to about 2e-9 this far out
         assert got.value == pytest.approx(want, rel=1e-7, abs=0.0)
+        assert got.value == pytest.approx(_thz_aber_oracle(30.0, spec, mod),
+                                          rel=1e-9, abs=0.0)
 
     def test_density_makes_no_meijer_g_call(self, spec, monkeypatch):
-        calls = {"pdf": 0, "meijer_g_in_pdf": 0}
+        calls = {"pdf": 0, "meijer_g_in_pdf": 0, "meijer_g": 0}
         inside = []
         meijer_g, pdf = specfun.meijer_g, channel_fso.fso_snr_pdf
 
         def counted_meijer_g(g_spec):
+            calls["meijer_g"] += 1
             if inside:
                 calls["meijer_g_in_pdf"] += 1
             return meijer_g(g_spec)
@@ -519,12 +670,34 @@ class TestAberUpperTail:
 
         monkeypatch.setattr(specfun, "meijer_g", counted_meijer_g)
         monkeypatch.setattr(channel_fso, "fso_snr_pdf", counted_pdf)
-        channel_fso.fso_snr_pdf(1.0, spec.fso, spec.transmit_snr_db)
-        # the FSO capacity's low-SNR lower tail integrates the density
+        for gamma in (0.1, 1.0, spec.policy.gamma_f_th_u, 100.0):
+            channel_fso.fso_snr_pdf(gamma, spec.fso, spec.transmit_snr_db)
+        assert calls == {"pdf": 4, "meijer_g_in_pdf": 0, "meijer_g": 0}
+        # nor do the backhaul capacities and ABER integrate it, or call
+        # Meijer-G, at the threshold where they used to do both
         got = ma.capacity_fso(spec.policy.gamma_f_th_u, spec)
-        assert ma.FLAG_TAIL_QUADRATURE in got.flags
-        assert calls["pdf"] > 1
-        assert calls["meijer_g_in_pdf"] == 0
+        ma.capacity_thz(spec.policy.gamma_t_th, spec)
+        ma.aber_hybrid(spec, Modulation.bpsk())
+        assert not got.flags
+        assert calls == {"pdf": 4, "meijer_g_in_pdf": 0, "meijer_g": 0}
+        # the counters are live: the printed identity calls Meijer-G
+        ma.capacity_fso(spec.policy.gamma_f_th_u, spec, closed_form_only=True)
+        assert calls["meijer_g"] > 0
+
+
+def _mpmath_fso_cdf(gamma, spec, survival=False):
+    """P(gamma_F <= gamma), or P(gamma_F > gamma), by mpmath at 30 digits:
+    the CDF is G^{3,1}_{2,4} (and the survival 1 minus it, at 30 digits)."""
+    fso, snr = spec.fso, spec.transmit_snr_db
+    tau = fso.detection_tau
+    with mpmath.workdps(30):
+        xi2 = mpmath.mpf(fso.pointing.xi) ** 2
+        al, be = mpmath.mpf(fso.alpha_f), mpmath.mpf(fso.beta_f)
+        z = (al * be / fso.pointing.a0
+             * (mpmath.mpf(gamma) / fso.delta_tau(snr)) ** (mpmath.mpf(1) / tau))
+        cdf = (xi2 / (mpmath.gamma(al) * mpmath.gamma(be))
+               * mpmath.meijerg([[1], [xi2 + 1]], [[xi2, al, be], [0]], z))
+        return float(1 - cdf if survival else cdf)
 
 
 def _mp_access_oracle(spec, gamma_th, b=None):
@@ -626,6 +799,10 @@ class TestAccessPositiveForms:
             ma.aber_access(spec.gamma_r_th, spec, Modulation.mqam(16))
             ma.capacity_access(spec.gamma_r_th, spec)
         assert calls == {"quad": 0, "meijer_g": 0}
-        for snr in (0.0, 30.0):     # the FSO capacity: quadrature, Meijer-G
-            ma.capacity_fso(GTH_5DB, system_spec(snr_db=snr))
+        # the counters are live: quadrature in the tests' own oracle, and
+        # Meijer-G in the printed FSO capacity identity
+        spec = system_spec(snr_db=30.0)
+        _quad_capacity(lambda g: access_snr_pdf(g, spec.access, 30.0), GTH_5DB,
+                       2.0 * spec.access.gamma_bar_r(30.0))
+        ma.capacity_fso(GTH_5DB, spec, closed_form_only=True)
         assert calls["quad"] > 0 and calls["meijer_g"] > 0

@@ -416,8 +416,9 @@ class TestFigureFlags:
         return [line.split(",") for line in lines]
 
     def test_flag_scan(self, tmp_path):
-        counts = {"asymptotic": 0, "mc": 0, "tail-quadrature": 0}
-        for fig_id in ("fig6a", "fig12", "fig13"):
+        counts = {"asymptotic": 0, "mc": 0, "tail-quadrature": 0,
+                  "capacity-low-snr-approx": 0}
+        for fig_id in ("fig6a", "fig12", "fig13", "fig14a", "fig14b"):
             for _, metric, method, value, _, _, flags in self._rows(fig_id,
                                                                     tmp_path):
                 flags = set(flags.split(";")) - {""}
@@ -432,5 +433,10 @@ class TestFigureFlags:
                     counts["mc"] += undefined
                 if fig_id == "fig13":
                     assert "truncation-cap" not in flags, metric
-                    counts["tail-quadrature"] += "tail-quadrature" in flags
-        assert counts == {"asymptotic": 35, "mc": 4, "tail-quadrature": 0}
+                counts["tail-quadrature"] += "tail-quadrature" in flags
+                # only the printed identity (fig14a "closed") is approximate
+                low = "capacity-low-snr-approx" in flags
+                assert not low or metric.endswith(":closed"), metric
+                counts["capacity-low-snr-approx"] += low
+        assert counts == {"asymptotic": 35, "mc": 4, "tail-quadrature": 0,
+                          "capacity-low-snr-approx": 12}
