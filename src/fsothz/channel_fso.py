@@ -13,8 +13,15 @@ are expectations over u of closed inner terms with positive integrands
 Gauss-Legendre rule over u (:func:`_gg_rule`) carries the density, the
 ceiling rule behind the FSO ABER and capacity (:func:`fso_ceiling_rule`),
 and the CDF and survival wherever the Meijer-G closed form would need the
-Mellin-Barnes contour; elsewhere the CDF is the Meijer-G residue series.
-None of these carries a Meijer-G route flag.
+Mellin-Barnes contour, or its residue series cancels by more than three
+digits; elsewhere the CDF is that residue series.  On the rule the smaller
+of CDF and survival is computed and the other is 1 minus it.  None of these
+carries a Meijer-G route flag.
+
+The derived constants of a link (the pointing geometry's A0, w_Leq and xi,
+the Gamma-Gamma shapes, the path transmittance and the CDF's parameter
+blocks) are slots computed once, when the spec is made, so a sweep point
+pays only for what depends on its SNR.
 """
 
 from __future__ import annotations
@@ -115,38 +122,34 @@ def rytov_turbulence_params(cn2: float, wavelength_m: float, length_m: float):
 
 @dataclass(frozen=True, slots=True)
 class PointingGeometry:
-    """Zero-boresight misalignment geometry of a Gaussian beam on a disk."""
+    """Zero-boresight misalignment geometry of a Gaussian beam on a disk.
+
+    ``v0``, the collected fraction ``a0`` at zero offset, the equivalent
+    beam radius ``w_leq_m`` and the misalignment severity ``xi`` (that
+    radius over twice the jitter) are computed once, when the geometry is
+    made; they take no part in equality or hashing.
+    """
 
     aperture_radius_m: float
     beamwidth_m: float
     jitter_std_m: float
+    v0: float = field(init=False, repr=False, compare=False)
+    a0: float = field(init=False, repr=False, compare=False)
+    w_leq_m: float = field(init=False, repr=False, compare=False)
+    xi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.aperture_radius_m <= 0 or self.beamwidth_m <= 0 or self.jitter_std_m <= 0:
             raise DomainError("pointing geometry lengths must be positive")
-
-    @property
-    def v0(self) -> float:
-        return math.sqrt(math.pi * self.aperture_radius_m ** 2
-                         / (2.0 * self.beamwidth_m ** 2))
-
-    @property
-    def a0(self) -> float:
-        """Fraction of power collected at zero radial offset."""
-        return math.erf(self.v0) ** 2
-
-    @property
-    def w_leq_m(self) -> float:
-        """Equivalent beam radius."""
-        v0 = self.v0
-        w2 = (math.sqrt(math.pi * self.a0) * self.beamwidth_m ** 2
-              / (2.0 * v0 * math.exp(-v0 ** 2)))
-        return math.sqrt(w2)
-
-    @property
-    def xi(self) -> float:
-        """Misalignment severity: equivalent beam radius over twice the jitter."""
-        return self.w_leq_m / (2.0 * self.jitter_std_m)
+        v0 = math.sqrt(math.pi * self.aperture_radius_m ** 2
+                       / (2.0 * self.beamwidth_m ** 2))
+        a0 = math.erf(v0) ** 2
+        w_leq_m = math.sqrt(math.sqrt(math.pi * a0) * self.beamwidth_m ** 2
+                            / (2.0 * v0 * math.exp(-v0 ** 2)))
+        object.__setattr__(self, "v0", v0)
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "w_leq_m", w_leq_m)
+        object.__setattr__(self, "xi", w_leq_m / (2.0 * self.jitter_std_m))
 
     @property
     def beamwidth_valid(self) -> bool:
@@ -162,9 +165,12 @@ class PointingGeometry:
 class FsoLinkSpec:
     """Static FSO link parameters plus derived channel constants.
 
-    The Gamma-Gamma shapes ``alpha_f``, ``beta_f`` and the path transmittance
-    ``i_l`` are computed once, when the spec is made; they take no part in
-    equality or hashing, which the input fields decide.
+    The Gamma-Gamma shapes ``alpha_f``, ``beta_f``, the path transmittance
+    ``i_l`` and the parameter blocks (rho1, rho2, D1, D2) of the SNR CDF,
+    ``cdf_blocks``, are computed once, when the spec is made; they take no
+    part in equality or hashing, which the input fields decide.  Where a
+    near-deterministic channel puts D1 beyond the double range
+    ``cdf_blocks`` is None, and the CDF runs on the scintillation rule.
     """
 
     wavelength_m: float
@@ -177,18 +183,33 @@ class FsoLinkSpec:
     alpha_f: float = field(init=False, repr=False, compare=False)
     beta_f: float = field(init=False, repr=False, compare=False)
     i_l: float = field(init=False, repr=False, compare=False)
+    cdf_blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.detection_tau not in (1, 2):
             raise DomainError(f"detection_tau must be 1 or 2, got {self.detection_tau}")
         if self.eta <= 0:
             raise DomainError("eta must be positive")
-        alpha_f, beta_f = rytov_turbulence_params(
+        al, be = rytov_turbulence_params(
             self.cn2, self.wavelength_m, self.length_m)
-        object.__setattr__(self, "alpha_f", alpha_f)
-        object.__setattr__(self, "beta_f", beta_f)
+        object.__setattr__(self, "alpha_f", al)
+        object.__setattr__(self, "beta_f", be)
         object.__setattr__(self, "i_l", attenuation(
             self.visibility_km, self.wavelength_m, self.length_m))
+        tau = self.detection_tau
+        xi2 = self.pointing.xi ** 2
+        rho1 = tuple((xi2 + j) / tau for j in range(1, tau + 1))
+        rho2 = (tuple((xi2 + j) / tau for j in range(tau))
+                + tuple((al + j) / tau for j in range(tau))
+                + tuple((be + j) / tau for j in range(tau)))
+        d2 = (al * be) ** tau / tau ** (2.0 * tau)
+        try:
+            d1 = (tau ** (al + be - 2.0) * xi2
+                  / ((2.0 * math.pi) ** (tau - 1.0) * math.gamma(al) * math.gamma(be)))
+            blocks = (rho1, rho2, d1, d2)
+        except OverflowError:
+            blocks = None   # Gamma(alpha_F) beyond the double range
+        object.__setattr__(self, "cdf_blocks", blocks)
 
     def delta_tau(self, transmit_snr_db: float) -> float:
         """SNR scale P (eta I_l)^tau / sigma^2 at unit noise variance.
@@ -201,21 +222,6 @@ class FsoLinkSpec:
         """
         p = 10.0 ** (transmit_snr_db / 10.0)
         return p * (self.eta * self.i_l) ** self.detection_tau
-
-
-def _cdf_blocks(spec: FsoLinkSpec):
-    """(rho1, rho2, D1, D2) parameter blocks of the SNR CDF."""
-    tau = spec.detection_tau
-    xi2 = spec.pointing.xi ** 2
-    al, be = spec.alpha_f, spec.beta_f
-    rho1 = tuple((xi2 + j) / tau for j in range(1, tau + 1))
-    rho2 = (tuple((xi2 + j) / tau for j in range(tau))
-            + tuple((al + j) / tau for j in range(tau))
-            + tuple((be + j) / tau for j in range(tau)))
-    d1 = (tau ** (al + be - 2.0) * xi2
-          / ((2.0 * math.pi) ** (tau - 1.0) * math.gamma(al) * math.gamma(be)))
-    d2 = (al * be) ** tau / tau ** (2.0 * tau)
-    return rho1, rho2, d1, d2
 
 
 def _log_gg_offset(s, z0: float, log_k0: float, slope: float, nu: float):
@@ -452,41 +458,38 @@ def _scintillation_mean(spec: FsoLinkSpec, log_c: float, lo: float,
                                        else np.dot(w, h(s)))
 
 
-def _survival_by_scintillation(gamma: float, spec: FsoLinkSpec,
-                               transmit_snr_db: float) -> float:
-    """P(gamma_F > gamma) = E[1 - (c / I_a)^(xi^2); I_a > c], every term
-    positive, on :func:`_gg_rule`."""
-    xi2 = spec.pointing.xi ** 2
-    return _scintillation_mean(spec, _log_c(gamma, spec, transmit_snr_db),
-                               0.0, math.inf, 0.0,
-                               lambda s: -np.expm1(-xi2 * s))
+def _by_scintillation(gamma: float, spec: FsoLinkSpec, transmit_snr_db: float,
+                      survival: bool) -> float:
+    """P(gamma_F > gamma) or P(gamma_F <= gamma) from positive terms.
 
-
-def _cdf_by_scintillation(gamma: float, spec: FsoLinkSpec,
-                          transmit_snr_db: float) -> float:
-    """P(gamma_F <= gamma) = E[min(1, (c / I_a)^(xi^2))] from positive terms.
-
-    The survival of :func:`_survival_by_scintillation` is taken first;
-    where it is below one half F is 1 minus it, correct to the rounding of
-    F.  Otherwise F = F_Ia(c) + E[(c / I_a)^(xi^2); I_a > c], i.e. F_Ia(c)
-    + tau gamma f(gamma) / xi^2.  Every term runs on :func:`_gg_rule`.
+    The survival E[1 - (c / I_a)^(xi^2); I_a > c] is taken first; where it
+    is below one half it is the smaller side.  Otherwise the CDF F =
+    F_Ia(c) + E[(c / I_a)^(xi^2); I_a > c], i.e. F_Ia(c) + tau gamma
+    f(gamma) / xi^2, is.  The smaller side keeps its relative accuracy and
+    the other is 1 minus it, so the two sum to 1 to the larger's rounding.
+    Every term runs on :func:`_gg_rule`.
     """
-    survival = _survival_by_scintillation(gamma, spec, transmit_snr_db)
-    if survival < 0.5:
-        return 1.0 - survival
     log_c = _log_c(gamma, spec, transmit_snr_db)
-    return (_scintillation_mean(spec, log_c, -math.inf, 0.0, 0.0)
-            + _scintillation_mean(spec, log_c, 0.0, math.inf,
-                                  spec.pointing.xi ** 2))
+    xi2 = spec.pointing.xi ** 2
+    upper = _scintillation_mean(spec, log_c, 0.0, math.inf, 0.0,
+                                lambda s: -np.expm1(-xi2 * s))
+    if upper < 0.5:
+        return upper if survival else 1.0 - upper
+    lower = (_scintillation_mean(spec, log_c, -math.inf, 0.0, 0.0)
+             + _scintillation_mean(spec, log_c, 0.0, math.inf, xi2))
+    return 1.0 - lower if survival else lower
 
 
 def _residue_cdf(gamma: float, spec: FsoLinkSpec, transmit_snr_db: float):
     """The Meijer-G closed form of P(gamma_F <= gamma) by its residue
     series, or None where it would need the Mellin-Barnes contour (a
     logarithmic pole layout, a series that raises, or one flagged
-    ``truncation-cap`` or ``residue-ill-conditioned``)."""
+    ``truncation-cap`` or ``residue-ill-conditioned``) or the spec has no
+    ``cdf_blocks``."""
+    if spec.cdf_blocks is None:
+        return None
     tau = spec.detection_tau
-    rho1, rho2, d1, d2 = _cdf_blocks(spec)
+    rho1, rho2, d1, d2 = spec.cdf_blocks
     delta = spec.delta_tau(transmit_snr_db)
     z = d2 * gamma / (spec.pointing.a0 ** tau * delta)
     try:
@@ -506,8 +509,7 @@ def _probability(gamma: float, spec: FsoLinkSpec, transmit_snr_db: float,
         return specfun.KernelValue(float(survival))
     value = _residue_cdf(gamma, spec, transmit_snr_db)
     if value is None:
-        law = _survival_by_scintillation if survival else _cdf_by_scintillation
-        value = law(gamma, spec, transmit_snr_db)
+        value = _by_scintillation(gamma, spec, transmit_snr_db, survival)
     elif survival:
         value = 1.0 - value
     if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
@@ -522,13 +524,14 @@ def fso_snr_cdf(gamma: float, spec: FsoLinkSpec,
                 transmit_snr_db: float) -> specfun.KernelValue:
     """P(gamma_F <= gamma) for either detection type: the residue series of
     :func:`_residue_cdf` where it converges unflagged, elsewhere the
-    scintillation-conditioned form of :func:`_cdf_by_scintillation`."""
+    scintillation-conditioned form of :func:`_by_scintillation`."""
     return _probability(gamma, spec, transmit_snr_db, survival=False)
 
 
 def fso_snr_survival(gamma: float, spec: FsoLinkSpec,
                      transmit_snr_db: float) -> specfun.KernelValue:
     """P(gamma_F > gamma) on the route of :func:`fso_snr_cdf`: 1 minus the
-    residue series, or the positive-term survival, which keeps its digits
-    where the CDF rounds to 1.  The two sum to 1 to the larger's rounding."""
+    residue series, or the smaller side's complement of
+    :func:`_by_scintillation`, which keeps its digits where the CDF rounds
+    to 1.  The two sum to 1 to the larger's rounding."""
     return _probability(gamma, spec, transmit_snr_db, survival=True)

@@ -6,7 +6,9 @@ alpha-mu per receive branch with one shared misalignment factor; after MRC
 the branch sum is carried analytically as a single alpha-mu variate with
 mu -> N_r mu and the SNR scale gamma_bar = N_r * gamma_bar_T.  Given that
 variate the SNR is a ceiling times a power-law pointing loss, and the rule
-of :func:`thz_ceiling_rule` carries the survival, ABER and capacity.
+of :func:`thz_ceiling_rule` carries the survival, ABER and capacity.  The
+path gain and the SNR-independent constants of the closed forms (log C1, C2,
+C3) are slots of :class:`ThzLinkSpec`, computed once, when it is made.
 """
 
 from __future__ import annotations
@@ -140,7 +142,8 @@ def thz_path_gain(env: ThzEnvironment) -> float:
 class ThzLinkSpec:
     """THz link parameters plus the alpha-mu/misalignment channel constants.
 
-    The path gain ``h_l`` is computed once, when the spec is made; it takes
+    The path gain ``h_l`` and the constants of the SNR laws, ``log_c1``,
+    ``c2`` and ``c3``, are computed once, when the spec is made; they take
     no part in equality or hashing, which the input fields decide.
     """
 
@@ -151,6 +154,9 @@ class ThzLinkSpec:
     omega: float
     pointing: PointingGeometry
     h_l: float = field(init=False, repr=False, compare=False)
+    log_c1: float = field(init=False, repr=False, compare=False)
+    c2: float = field(init=False, repr=False, compare=False)
+    c3: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha <= 0 or self.mu <= 0 or self.omega <= 0:
@@ -158,6 +164,19 @@ class ThzLinkSpec:
         if self.n_rx < 1:
             raise DomainError(f"n_rx must be >= 1, got {self.n_rx}")
         object.__setattr__(self, "h_l", thz_path_gain(self.env))
+        xi2 = self.pointing.xi ** 2
+        a0 = self.pointing.a0
+        nrmu = self.n_rx * self.mu
+        # log of the PDF normalization constant; the linear value leaves
+        # the double range once the pointing exponent xi^2 is large
+        log_c1 = (math.log(xi2) - xi2 * math.log(a0)
+                  + xi2 / self.alpha * math.log(nrmu)
+                  - xi2 * math.log(self.omega) - math.lgamma(nrmu))
+        object.__setattr__(self, "log_c1", log_c1)
+        # (alpha N_r mu - xi^2) / alpha; negative at the reference geometry
+        object.__setattr__(self, "c2", (self.alpha * self.n_rx * self.mu - xi2)
+                           / self.alpha)
+        object.__setattr__(self, "c3", nrmu / (a0 * self.omega) ** self.alpha)
 
     @property
     def xi_t(self) -> float:
@@ -168,27 +187,8 @@ class ThzLinkSpec:
         return self.pointing.a0
 
     @property
-    def log_c1(self) -> float:
-        """log of the PDF normalization constant; the linear value leaves the
-        double range once the pointing exponent xi^2 is large."""
-        xi2 = self.xi_t ** 2
-        nrmu = self.n_rx * self.mu
-        return (math.log(xi2) - xi2 * math.log(self.a0_t)
-                + xi2 / self.alpha * math.log(nrmu)
-                - xi2 * math.log(self.omega) - math.lgamma(nrmu))
-
-    @property
     def c1(self) -> float:
         return math.exp(self.log_c1)
-
-    @property
-    def c2(self) -> float:
-        """(alpha N_r mu - xi^2)/alpha; may be negative at the reference geometry."""
-        return (self.alpha * self.n_rx * self.mu - self.xi_t ** 2) / self.alpha
-
-    @property
-    def c3(self) -> float:
-        return self.n_rx * self.mu / (self.a0_t * self.omega) ** self.alpha
 
     def gamma_bar_t(self, transmit_snr_db: float) -> float:
         """Per-branch average SNR P h_l^2 / sigma^2 at unit noise variance."""

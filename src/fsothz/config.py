@@ -4,6 +4,11 @@ The format is INI (configparser): flat sections, one key = value per line,
 units carried in the key names.  Unknown sections or keys are rejected with
 the offending name; a parsed configuration re-serializes key-for-key
 identical, so files round-trip through the internal representation.
+
+:func:`build_system_spec` builds each distinct link and switching section
+once, from caches keyed on the section's values: the points of a sweep,
+and separately loaded copies of one file, share the link instances and the
+constants those derived when they were made.
 """
 
 from __future__ import annotations
@@ -271,57 +276,71 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return out.getvalue()
 
 
+def _section_key(cfg: ScenarioConfig, section: str) -> tuple:
+    """The values of one section in schema order, None for an absent key."""
+    values = cfg.sections[section]
+    return tuple(values.get(key) for key in _SCHEMA[section])
+
+
+# No link spec or policy depends on the transmit SNR, so each distinct
+# section is built once and the points of a sweep, which differ only in the
+# SNR, share its instance and the constants it derived when it was made.
+
 @functools.lru_cache(maxsize=256)
-def _shared(spec):
-    """The first-built instance equal to the frozen sub-spec ``spec``.
-
-    No link spec or policy depends on the transmit SNR, so the points of a
-    sweep, which differ only in it, share one instance of each.
-    """
-    return spec
-
-
-def build_system_spec(cfg: ScenarioConfig,
-                      transmit_snr_db: Optional[float] = None) -> SystemSpec:
-    f = cfg.sections["fso"]
-    fso = FsoLinkSpec(
+def _fso_link(key: tuple) -> FsoLinkSpec:
+    f = dict(zip(_SCHEMA["fso"], key))
+    return FsoLinkSpec(
         wavelength_m=f["wavelength_m"], length_m=f["length_m"],
         visibility_km=f["visibility_km"], cn2=f["cn2"],
         detection_tau=f["detection_tau"], eta=f["eta"],
         pointing=PointingGeometry(f["aperture_radius_m"], f["beamwidth_m"],
                                   f["jitter_std_m"]))
-    t = cfg.sections["thz"]
+
+
+@functools.lru_cache(maxsize=256)
+def _thz_link(key: tuple) -> ThzLinkSpec:
+    t = dict(zip(_SCHEMA["thz"], key))
     env = ThzEnvironment(
         temperature_k=t["temperature_k"], pressure_pa=t["pressure_pa"],
         relative_humidity_pct=t["relative_humidity_pct"],
         frequency_hz=t["frequency_hz"], distance_m=t["length_m"],
         tx_gain_dbi=t["tx_gain_dbi"], rx_gain_dbi=t["rx_gain_dbi"])
-    radius = t.get("aperture_radius_m")
+    radius = t["aperture_radius_m"]
     if radius is None:
         radius = default_rx_radius_m(t["frequency_hz"], t["tx_gain_dbi"])
-    thz = ThzLinkSpec(
+    return ThzLinkSpec(
         env=env, alpha=t["alpha"], mu=t["mu"], n_rx=t["n_rx"],
         omega=t["omega"],
         pointing=PointingGeometry(radius, t["beamwidth_m"], t["jitter_std_m"]))
-    a = cfg.sections["access"]
-    access = AccessLinkSpec(
-        frequency_hz=a["frequency_hz"], length_m=a["length_m"],
-        tx_gain_dbi=a["tx_gain_dbi"], rx_gain_dbi=a["rx_gain_dbi"],
-        oxygen_db_per_km=a["oxygen_db_per_km"],
-        rain_db_per_km=a["rain_db_per_km"], m=a["m"], n_tx=a["n_tx"],
-        omega_r=a["omega_r"])
-    sw = cfg.sections["switching"]
+
+
+@functools.lru_cache(maxsize=256)
+def _access_link(key: tuple) -> AccessLinkSpec:
+    return AccessLinkSpec(**dict(zip(_SCHEMA["access"], key)))
+
+
+@functools.lru_cache(maxsize=256)
+def _switching(key: tuple) -> tuple:
+    """(policy, linear access threshold gamma_r_th) of a switching section."""
+    sw = dict(zip(_SCHEMA["switching"], key))
     if sw["mode"] == "hard":
         policy = HardPolicy(10.0 ** (sw["gamma_th_db"] / 10.0))
     else:
         policy = SoftPolicy(10.0 ** (sw["gamma_f_th_u_db"] / 10.0),
                             10.0 ** (sw["gamma_f_th_l_db"] / 10.0),
                             10.0 ** (sw["gamma_t_th_db"] / 10.0))
-    gamma_r_th = 10.0 ** (sw["gamma_r_th_db"] / 10.0)
+    return policy, 10.0 ** (sw["gamma_r_th_db"] / 10.0)
+
+
+def build_system_spec(cfg: ScenarioConfig,
+                      transmit_snr_db: Optional[float] = None) -> SystemSpec:
     snr = (transmit_snr_db if transmit_snr_db is not None
            else cfg.sections["simulation"]["transmit_snr_db"])
-    return SystemSpec(fso=_shared(fso), thz=_shared(thz),
-                      access=_shared(access), policy=_shared(policy),
+    fso = _fso_link(_section_key(cfg, "fso"))
+    thz = _thz_link(_section_key(cfg, "thz"))
+    access = _access_link(_section_key(cfg, "access"))
+    policy, gamma_r_th = _switching(_section_key(cfg, "switching"))
+    return SystemSpec(fso=fso, thz=thz, access=access, policy=policy,
                       gamma_r_th=gamma_r_th, transmit_snr_db=snr)
 
 

@@ -94,9 +94,10 @@ _TS_NODES = 1.0 / (1.0 + np.exp(-2.0 * _TS_S))
 _TS_COMPLEMENTS = 1.0 / (1.0 + np.exp(2.0 * _TS_S))     # 1 - _TS_NODES
 _TS_WEIGHTS = (math.pi / 48.0) * np.cosh(_TS_J) / np.cosh(_TS_S) ** 2
 
-# The printed capacity identities are accurate only while the SNR mass below
-# the threshold is negligible; beyond this mass their rows say so.
-LOW_SNR_MASS = 0.01
+# The printed capacity identities approximate the part below the threshold;
+# where one is further than this, relatively, from the production kernel its
+# row says so.
+PRINTED_CAPACITY_RTOL = 1e-6
 FLAG_LOW_SNR_CAPACITY = "capacity-low-snr-approx"
 _NO_FLAGS = frozenset()
 
@@ -321,11 +322,19 @@ def outage_e2e(spec: SystemSpec) -> KernelValue:
 # Asymptotics and diversity
 # ---------------------------------------------------------------------------
 
+def _closed_form_blocks(fso: channel_fso.FsoLinkSpec) -> tuple:
+    """The FSO link's Meijer-G CDF blocks, for the forms built on them."""
+    if fso.cdf_blocks is None:
+        raise DomainError("the Gamma-Gamma shapes put the closed-form FSO "
+                          "CDF constant beyond the double range")
+    return fso.cdf_blocks
+
+
 def asymptotic_cdf_fso(gamma: float, fso: channel_fso.FsoLinkSpec,
                        transmit_snr_db: float) -> float:
     """High-SNR FSO CDF: the leading residue of each pole family."""
     tau = fso.detection_tau
-    rho1, rho2, d1, d2 = channel_fso._cdf_blocks(fso)
+    rho1, rho2, d1, d2 = _closed_form_blocks(fso)
     z = d2 * gamma / (fso.pointing.a0 ** tau * fso.delta_tau(transmit_snr_db))
     logz = math.log(z)
     total = 0.0
@@ -459,11 +468,11 @@ def _capacity_on_rule(gamma_th: float, k: float, xi: float,
     return float(np.dot(w, head + inner)) / math.log(2.0)
 
 
-def _low_snr_flagged(printed: KernelValue, mass: KernelValue) -> KernelValue:
+def _low_snr_flagged(printed: KernelValue, kernel: KernelValue) -> KernelValue:
     """A printed capacity identity, flagged ``capacity-low-snr-approx`` where
-    the part below the threshold, which its varpi identity does not resolve,
-    carries more than LOW_SNR_MASS of the SNR mass."""
-    if mass.value > LOW_SNR_MASS:
+    it lies further than PRINTED_CAPACITY_RTOL, relatively, from the
+    production kernel's value."""
+    if abs(printed.value - kernel.value) > PRINTED_CAPACITY_RTOL * kernel.value:
         return printed.with_flags(FLAG_LOW_SNR_CAPACITY)
     return printed
 
@@ -473,7 +482,7 @@ def _printed_capacity_fso(gamma_th: float, spec: SystemSpec) -> KernelValue:
     minus, above a zero threshold, the varpi identity of the part below."""
     fso = spec.fso
     tau = fso.detection_tau
-    rho1, rho2, d1, d2 = channel_fso._cdf_blocks(fso)
+    rho1, rho2, d1, d2 = _closed_form_blocks(fso)
     xi = _xi_factor(tau)
     scale = fso.pointing.a0 ** tau * fso.delta_tau(spec.transmit_snr_db)
     g = specfun.meijer_g(specfun.MeijerGSpec(
@@ -503,7 +512,7 @@ def capacity_fso(gamma_th: float, spec: SystemSpec,
         raise DomainError("gamma_th must be >= 0")
     if closed_form_only:
         return _low_snr_flagged(_printed_capacity_fso(gamma_th, spec),
-                                outage_fso(spec, gamma_th))
+                                capacity_fso(gamma_th, spec))
     fso = spec.fso
     tau = fso.detection_tau
     gmax, w = channel_fso.fso_ceiling_rule(gamma_th, math.inf, fso,
@@ -562,7 +571,7 @@ def capacity_thz(gamma_th: float, spec: SystemSpec,
         raise DomainError("gamma_th must be >= 0")
     if closed_form_only:
         return _low_snr_flagged(_printed_capacity_thz(gamma_th, spec),
-                                outage_thz(spec, gamma_th))
+                                capacity_thz(gamma_th, spec))
     gmax, w = channel_thz.thz_ceiling_rule(gamma_th, math.inf, spec.thz,
                                            spec.transmit_snr_db)
     return KernelValue(_capacity_on_rule(

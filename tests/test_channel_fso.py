@@ -216,7 +216,7 @@ def _residue_cdf(gamma, spec, snr_db):
     """The residue-series CDF, or None where the Meijer-G engine would
     leave it for the contour (it raises or is flagged)."""
     tau = spec.detection_tau
-    rho1, rho2, d1, d2 = channel_fso._cdf_blocks(spec)
+    rho1, rho2, d1, d2 = spec.cdf_blocks
     z = d2 * gamma / (spec.pointing.a0 ** tau * spec.delta_tau(snr_db))
     try:
         g = specfun.meijer_g_residue(
@@ -260,8 +260,8 @@ class TestCdfAgainstMpmath:
         scale = spec.pointing.a0 / (spec.alpha_f * spec.beta_f)
         for z in np.geomspace(1e-3, 1e3, 13):
             gamma = spec.delta_tau(SNR_DB) * (z * scale) ** tau
-            assert channel_fso._cdf_by_scintillation(
-                gamma, spec, SNR_DB) == pytest.approx(
+            assert channel_fso._by_scintillation(
+                gamma, spec, SNR_DB, survival=False) == pytest.approx(
                     _mpmath_cdf(gamma, spec, SNR_DB), rel=1e-12, abs=0.0), z
 
     def test_presets_route_and_value(self):

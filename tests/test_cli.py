@@ -2,6 +2,7 @@
 
 import ast
 import io
+import math
 import os
 import pickle
 import subprocess
@@ -9,11 +10,12 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fsothz
 import fsothz.metrics_analytic as ma
-from fsothz import channel_fso, channel_thz, cli
+from fsothz import channel_access, channel_fso, channel_thz, cli
 from fsothz.config import (bundled_config_path, load_config, parse_config,
                            serialize_config)
 from fsothz.errors import ConfigError
@@ -88,6 +90,13 @@ class TestConfig:
         assert ((again.fso.alpha_f, again.fso.beta_f, again.fso.i_l,
                  again.thz.h_l) == (spec.fso.alpha_f, spec.fso.beta_f,
                                     spec.fso.i_l, spec.thz.h_l))
+        assert again.fso.cdf_blocks == spec.fso.cdf_blocks
+        assert ((again.thz.log_c1, again.thz.c2, again.thz.c3)
+                == (spec.thz.log_c1, spec.thz.c2, spec.thz.c3))
+        for link in ("fso", "thz"):
+            pg, pg_again = getattr(spec, link).pointing, getattr(again, link).pointing
+            assert ((pg_again.v0, pg_again.a0, pg_again.w_leq_m, pg_again.xi)
+                    == (pg.v0, pg.a0, pg.w_leq_m, pg.xi))
         mod = ma.Modulation.bpsk()
         assert ma.aber_e2e(again, mod) == ma.aber_e2e(spec, mod)
         assert ma.capacity_e2e(again) == ma.capacity_e2e(spec)
@@ -100,6 +109,28 @@ class TestConfig:
         assert spec.fso.i_l == channel_fso.attenuation(
             spec.fso.visibility_km, spec.fso.wavelength_m, spec.fso.length_m)
         assert spec.thz.h_l == channel_thz.thz_path_gain(spec.thz.env)
+        # the pointing constants, the FSO CDF blocks and the THz law
+        # constants are slots filled when the spec is made, not properties
+        for cls, names in ((channel_fso.PointingGeometry,
+                            ("v0", "a0", "w_leq_m", "xi")),
+                           (channel_fso.FsoLinkSpec, ("cdf_blocks",)),
+                           (channel_thz.ThzLinkSpec, ("log_c1", "c2", "c3"))):
+            assert set(names) <= set(cls.__slots__), cls
+        # (their values: TestPointingGeometry, TestSnrDistribution of the
+        # THz tests, and the CDF blocks and log C1 here)
+        fso, xi2 = spec.fso, spec.fso.pointing.xi ** 2
+        rho1, rho2, d1, d2 = fso.cdf_blocks
+        assert rho1 == (xi2 + 1.0,)       # fig13 presets are heterodyne
+        assert rho2 == (xi2, fso.alpha_f, fso.beta_f)
+        assert d1 == pytest.approx(xi2 / (math.gamma(fso.alpha_f)
+                                          * math.gamma(fso.beta_f)), rel=1e-15)
+        assert d2 == fso.alpha_f * fso.beta_f
+        thz = spec.thz
+        xi2_t, nrmu = thz.pointing.xi ** 2, thz.n_rx * thz.mu
+        assert thz.log_c1 == pytest.approx(
+            math.log(xi2_t) - xi2_t * math.log(thz.pointing.a0)
+            + xi2_t / thz.alpha * math.log(nrmu)
+            - xi2_t * math.log(thz.omega) - math.lgamma(nrmu), rel=1e-14)
         # equality and the shared-instance cache key on the input fields
         again = load_config(bundled_config_path("fig13")).system_spec(30.0)
         assert again.fso is spec.fso and again.thz is spec.thz
@@ -112,7 +143,39 @@ class TestConfig:
         ma.aber_e2e(spec, ma.Modulation.bpsk())
         ma.capacity_e2e(spec)
         ma.outage_e2e(spec)
+        ma.asymptotic_outage(spec)
         assert calls == []
+
+    def test_sweep_builds_each_link_once(self, monkeypatch):
+        # link and pointing values no other test uses, so that this sweep
+        # builds its specs first
+        cfg = (load_config(bundled_config_path("fig5"))
+               .replaced("fso", eta=0.987654321, jitter_std_m=0.0301234)
+               .replaced("thz", omega=1.0123456789)
+               .replaced("access", omega_r=1.0123456789))
+        built = []
+        for cls in (channel_fso.PointingGeometry, channel_fso.FsoLinkSpec,
+                    channel_thz.ThzLinkSpec, channel_access.AccessLinkSpec):
+            original = cls.__post_init__
+
+            def counted(self, original=original):
+                built.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        specs = [cfg.with_sweep_value(float(snr)).system_spec()
+                 for snr in np.linspace(0.0, 70.0, 100)]
+        assert sorted(built) == ["AccessLinkSpec", "FsoLinkSpec",
+                                 "PointingGeometry", "PointingGeometry",
+                                 "ThzLinkSpec"]
+        for spec in specs:
+            assert spec.fso is specs[0].fso and spec.thz is specs[0].thz
+            assert spec.access is specs[0].access
+            assert spec.policy is specs[0].policy
+        # a separately loaded copy of the same file shares the instances
+        again = parse_config(serialize_config(cfg)).system_spec(12.5)
+        assert again.fso is specs[0].fso and again.thz is specs[0].thz
+        assert len(built) == 5
 
 
 def _parse_csv(text):

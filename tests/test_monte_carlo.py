@@ -439,4 +439,4 @@ class TestFigureFlags:
                 assert not low or metric.endswith(":closed"), metric
                 counts["capacity-low-snr-approx"] += low
         assert counts == {"asymptotic": 35, "mc": 4, "tail-quadrature": 0,
-                          "capacity-low-snr-approx": 12}
+                          "capacity-low-snr-approx": 15}

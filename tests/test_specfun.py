@@ -1,5 +1,6 @@
 """Kernel tests: each special function against an independent oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from fsothz import specfun
+from fsothz import channel_fso, specfun
 from fsothz.errors import DomainError, MeijerGUnsupportedError
+from fsothz.figures import FIGURE_IDS, figure_jobs
 from fsothz.specfun import MeijerGSpec, meijer_g, meijer_g_contour, meijer_g_residue
 
 mpmath = pytest.importorskip("mpmath")
@@ -201,8 +203,13 @@ class TestMeijerG:
         assert meijer_g(spec).value == pytest.approx(_mp_meijerg(spec), rel=1e-9)
 
     def test_unsupported_pinch_raises(self):
+        spec = MeijerGSpec((2.0,), (), (1.0,), (0.5, 0.5, 0.5), 0.5)
         with pytest.raises(MeijerGUnsupportedError):
-            meijer_g(MeijerGSpec((2.0,), (), (1.0,), (0.5, 0.5, 0.5), 0.5))
+            meijer_g(spec)
+        for _ in range(2):      # the second call reads the cached outcome
+            with pytest.raises(MeijerGUnsupportedError, match="coincide") as err:
+                meijer_g_residue(spec)
+            assert str(err.value).count("unsupported Meijer-G parameters") == 1
 
     def test_log_case_routes_to_contour(self):
         spec = MeijerGSpec((0.0,), (1.0, XI2_F + 1.0),
@@ -319,6 +326,62 @@ class TestDualPathAgreement:
         avg = 0.5 * (perturbed(+1.0) + perturbed(-1.0))
         spread = abs(perturbed(+1.0) - perturbed(-1.0))
         assert abs(avg - exact) <= max(spread, 1e-8 * abs(exact))
+
+
+def _preset_fso_cdf_points():
+    """(G parameters, z) of the FSO CDF of every distinct FSO link of the
+    figure presets, at tau = 1 and 2, at their jobs' SNR thresholds and
+    transmit SNRs from 0 to 70 dB in 2.5 dB steps."""
+    links = {}
+    for fig_id in FIGURE_IDS:
+        for job in figure_jobs(fig_id):
+            spec = job.config.system_spec()
+            pol = spec.policy
+            gammas = {getattr(pol, name) for name in
+                      ("gamma_th", "gamma_f_th_u", "gamma_f_th_l")
+                      if hasattr(pol, name)}
+            for tau in (1, 2):
+                fso = dataclasses.replace(spec.fso, detection_tau=tau)
+                links.setdefault(fso, set()).update(gammas)
+    points = []
+    for fso, gammas in links.items():
+        tau = fso.detection_tau
+        rho1, rho2, _, d2 = fso.cdf_blocks
+        for snr in np.arange(0.0, 71.0, 2.5):
+            scale = fso.pointing.a0 ** tau * fso.delta_tau(float(snr))
+            for gamma in sorted(gammas):
+                points.append(((1.0,), rho1, rho2, (0.0,), d2 * gamma / scale))
+    return points
+
+
+class TestResidueAgainstMpmath:
+    """The residue route against mpmath.meijerg on the presets' FSO CDFs."""
+
+    def test_unflagged_values_match(self):
+        compared = 0
+        for params in _preset_fso_cdf_points():
+            spec = MeijerGSpec(*params)
+            try:
+                got = meijer_g_residue(spec)
+            except MeijerGUnsupportedError:
+                continue
+            if got.flags & {specfun.FLAG_RESIDUE_ILL_CONDITIONED,
+                            specfun.FLAG_TRUNCATION_CAP}:
+                continue
+            compared += 1
+            assert got.value == pytest.approx(_mp_meijerg(spec), rel=1e-11,
+                                              abs=0.0), params
+        assert compared > 200
+
+    def test_sweep_builds_families_once(self):
+        job = figure_jobs("fig5")[0]
+        gamma = job.config.system_spec().policy.gamma_th
+        specfun._residue_families.cache_clear()
+        for snr in np.linspace(0.0, 70.0, 50):
+            spec = job.config.with_sweep_value(float(snr)).system_spec()
+            channel_fso.fso_snr_cdf(gamma, spec.fso, spec.transmit_snr_db)
+        info = specfun._residue_families.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
 
 
 @settings(max_examples=200, deadline=None)
