@@ -212,7 +212,7 @@ def thz_snr_pdf(gamma: float, spec: ThzLinkSpec,
     log_pref = (spec.log_c1 - math.log(2.0) + (xi2 / 2.0 - 1.0) * math.log(gamma)
                 - xi2 / 2.0 * math.log(gbar))
     if spec.c2 <= -50.0:
-        log_tail = specfun._log_upper_gamma_very_negative(spec.c2, x)
+        log_tail = specfun._log_upper_gamma_cf(spec.c2, x)
     else:
         tail = specfun.upper_incomplete_gamma(spec.c2, x)
         if tail <= 0.0:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from . import channel_access, channel_fso, channel_thz, specfun
-from .errors import DomainError
+from .errors import DomainError, MeijerGUnsupportedError
 from .switching import (HardPolicy, SwitchPolicy, activation_threshold,
                         hard_combined_outage, soft_combined_outage,
                         soft_fso_off_probability)
@@ -332,30 +332,13 @@ def _closed_form_blocks(fso: channel_fso.FsoLinkSpec) -> tuple:
 
 def asymptotic_cdf_fso(gamma: float, fso: channel_fso.FsoLinkSpec,
                        transmit_snr_db: float) -> float:
-    """High-SNR FSO CDF: the leading residue of each pole family."""
+    """High-SNR FSO CDF: the leading residue of each pole family of the
+    closed form that :func:`channel_fso.fso_snr_cdf` sums in full."""
     tau = fso.detection_tau
     rho1, rho2, d1, d2 = _closed_form_blocks(fso)
     z = d2 * gamma / (fso.pointing.a0 ** tau * fso.delta_tau(transmit_snr_db))
-    logz = math.log(z)
-    total = 0.0
-    for h, bp in enumerate(rho2):
-        logmag = bp * logz
-        sign = 1.0
-        lg, sg = specfun._log_gamma_signed(bp)        # Gamma(1 - a1 + bp), a1 = 1
-        logmag += lg
-        sign *= sg
-        for j, bq in enumerate(rho2):
-            if j != h:
-                lg, sg = specfun._log_gamma_signed(bq - bp)
-                logmag += lg
-                sign *= sg
-        for aq in rho1:
-            lg, sg = specfun._log_gamma_signed(aq - bp)
-            logmag -= lg
-            sign *= sg
-        logmag -= math.lgamma(1.0 + bp)               # Gamma(1 - 0 + bp)
-        total += sign * math.exp(logmag)
-    return d1 * total
+    return d1 * specfun.meijer_g_leading(specfun.MeijerGSpec(
+        a_front=(1.0,), a_back=rho1, b_front=rho2, b_back=(0.0,), z=z))
 
 
 def asymptotic_cdf_thz(gamma: float, thz: channel_thz.ThzLinkSpec,
@@ -380,32 +363,27 @@ def asymptotic_cdf_access(gamma: float, access: channel_access.AccessLinkSpec,
 
 
 def asymptotic_outage(spec: SystemSpec, link: str = "e2e") -> float:
-    """High-SNR outage approximation for a link or the E2E composition."""
-    pol = spec.policy
-    snr = spec.transmit_snr_db
+    """High-SNR outage approximation for a link or the E2E composition,
+    from the asymptotic CDFs of only the links that ``link`` composes."""
+    pol, snr = spec.policy, spec.transmit_snr_db
+    if link == "access":
+        return asymptotic_cdf_access(spec.gamma_r_th, spec.access, snr)
+    if link == "thz":
+        return asymptotic_cdf_thz(activation_threshold(pol, "thz"), spec.thz, snr)
+    if link not in ("fso", "hybrid", "e2e"):
+        raise DomainError(f"unknown link {link!r}")
     if isinstance(pol, HardPolicy):
-        f_hyb = (asymptotic_cdf_fso(pol.gamma_th, spec.fso, snr)
-                 * asymptotic_cdf_thz(pol.gamma_th, spec.thz, snr))
         f_fso = asymptotic_cdf_fso(pol.gamma_th, spec.fso, snr)
-        f_thz = asymptotic_cdf_thz(pol.gamma_th, spec.thz, snr)
     else:
         p_low = asymptotic_cdf_fso(pol.gamma_f_th_l, spec.fso, snr)
         p_hig = 1.0 - asymptotic_cdf_fso(pol.gamma_f_th_u, spec.fso, snr)
         f_fso = p_low / (p_low + p_hig)
-        f_thz = asymptotic_cdf_thz(pol.gamma_t_th, spec.thz, snr)
-        f_hyb = f_fso * f_thz
-    f_acc = asymptotic_cdf_access(spec.gamma_r_th, spec.access, snr)
     if link == "fso":
         return f_fso
-    if link == "thz":
-        return f_thz
+    f_hyb = f_fso * asymptotic_outage(spec, "thz")
     if link == "hybrid":
         return f_hyb
-    if link == "access":
-        return f_acc
-    if link == "e2e":
-        return f_hyb + f_acc
-    raise DomainError(f"unknown link {link!r}")
+    return f_hyb + asymptotic_outage(spec, "access")
 
 
 @dataclass(frozen=True)
@@ -548,16 +526,26 @@ def _printed_capacity_thz(gamma_th: float, spec: SystemSpec) -> KernelValue:
     upper = KernelValue(math.exp(logv) if logv > -745.0 else 0.0, g.flags)
     if gamma_th == 0.0:
         return upper
-    # G^{2,1}_{2,3} factors of the THz CDF, the first with rho shifted
-    ga, gb = (specfun.meijer_g(specfun.MeijerGSpec(
-        a_front=(1.0 - rho,), a_back=(1.0,), b_front=(0.0, thz.c2),
-        b_back=(-rho,), z=thz.c3 * (gamma_th / gbar) ** (alpha / 2.0)))
-        for rho in ((2.0 * c + 2.0 / VARPI) / alpha, 2.0 * c / alpha))
+    # the THz CDF's G^{2,1}_{2,3} factors, the first with rho shifted, by
+    # their incomplete-gamma reduction as in channel_thz.thz_snr_cdf
+    z = thz.c3 * (gamma_th / gbar) ** (alpha / 2.0)
+    ga, gb = (_igamma_reduction(rho, thz.c2, z)
+              for rho in ((2.0 * c + 2.0 / VARPI) / alpha, 2.0 * c / alpha))
     log_ratio = c * math.log(gamma_th / gbar)
     pref = thz.c1 * VARPI / (math.log(2.0) * alpha)
     pref *= math.exp(log_ratio) if log_ratio > -745.0 else 0.0
-    lower = pref * (gamma_th ** (1.0 / VARPI) * ga.value - gb.value)
-    return _merge(upper.value - lower, upper, ga, gb)
+    lower = pref * (gamma_th ** (1.0 / VARPI) * ga - gb)
+    return KernelValue(upper.value - lower, upper.flags)
+
+
+def _igamma_reduction(rho: float, beta: float, z: float) -> float:
+    """G^{2,1}_{2,3}[z | (1-rho, 1); (0, beta, -rho)] from
+    :func:`specfun.igamma_reduction_log`, where it is a double."""
+    log_g = specfun.igamma_reduction_log(rho, beta, z)
+    if log_g > 709.0:
+        raise MeijerGUnsupportedError(
+            "incomplete-gamma reduction exceeds the double range")
+    return math.exp(log_g) if log_g > -745.0 else 0.0
 
 
 def capacity_thz(gamma_th: float, spec: SystemSpec,

@@ -3,18 +3,15 @@
 Everything here is a pure function: same inputs give bit-identical outputs,
 safe for concurrent use.  The one piece of state is a cache of the
 z-independent half of each residue series (:func:`_residue_families`),
-keyed on the Meijer-G parameters, which changes no result.  The Meijer-G
-evaluator supports the parameter geometries that arise in Gamma-Gamma /
-alpha-mu / Nakagami link distributions:
+keyed on the Meijer-G parameters, which changes no result.
 
-* residue series over the right pole families (primary path), returned
-  unflagged only while its peak term is at most RESIDUE_CONDITION_MAX
-  (1e3) times its sum, which keeps the FSO CDFs of the presets within
-  1e-11 of mpmath,
-* numerical Mellin-Barnes contour quadrature on a vertical line
-  (fallback for logarithmic cases, i.e. integer pole differences),
-* a handful of exact reductions (exponential, Bessel-K, incomplete-gamma
-  pattern) used both as fast paths and as cross-check identities.
+* residue series over the right pole families, returned unflagged only
+  while its peak term is at most RESIDUE_CONDITION_MAX (1e3) times its
+  sum, which keeps the FSO CDFs of the presets within 1e-11 of mpmath;
+* Mellin-Barnes contour quadrature on a vertical line, the evaluator of
+  the printed capacity identities' logarithmic pole layouts (integer pole
+  differences) and the residue series' fallback;
+* the incomplete-gamma closed form of the THz CDF's G^{2,1}_{2,3}.
 
 Results that involve series truncation or cancellation carry warning flags
 instead of silently degrading.
@@ -35,10 +32,10 @@ __all__ = [
     "KernelValue",
     "MeijerGSpec",
     "upper_incomplete_gamma",
-    "bessel_k",
     "igamma_reduction_log",
     "meijer_g",
     "meijer_g_residue",
+    "meijer_g_leading",
     "meijer_g_contour",
 ]
 
@@ -99,13 +96,13 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
         if q > 0.0:
             return float(q * math.exp(math.lgamma(a)))
         # Tail underflows the regularized form: continued fraction directly.
-        return _upper_gamma_cf(a, x)
+        return math.exp(_log_upper_gamma_cf(a, x))
     if a == 0.0:
         return float(sp.exp1(x))
     if a <= -50.0:
         # the continued fraction converges immediately for x + 1 - a >> 1;
         # over/underflow of x^a e^-x is the honest double-precision answer
-        logmag = _log_upper_gamma_very_negative(a, x)
+        logmag = _log_upper_gamma_cf(a, x)
         return math.exp(logmag) if logmag < 709.0 else math.inf
     # moderate a < 0: recurse down from a positive shape,
     #   Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a,
@@ -123,55 +120,9 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     return val
 
 
-def _log_upper_gamma_very_negative(a: float, x: float) -> float:
-    """log Gamma(a, x) for a <= -50, x > 0 (the value is always positive)."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return a * math.log(x) - x + math.log(h)
-
-
-def igamma_reduction_log(rho: float, beta: float, z: float):
-    """log of (Gamma(beta, z) + z^-rho gamma(beta+rho, z)) / rho.
-
-    This is the closed form of G^{2,1}_{2,3}[z | (1-rho, 1); (0, beta, -rho)]
-    for rho > 0, beta + rho > 0, z > 0; both terms are positive, so only the
-    log magnitude is needed.  Stays finite for pointing exponents far beyond
-    the double-precision range of the linear value.
-    """
-    if not (rho > 0 and beta + rho > 0 and z > 0):
-        raise DomainError(
-            f"igamma reduction requires rho > 0, beta + rho > 0, z > 0; "
-            f"got rho={rho}, beta={beta}, z={z}")
-    t2 = -rho * math.log(z) + _log_lower_gamma(beta + rho, z)
-    if beta <= -50.0:
-        t1 = _log_upper_gamma_very_negative(beta, z)
-    else:
-        v = upper_incomplete_gamma(beta, z)
-        t1 = math.log(v) if v > 0.0 else -math.inf
-    if math.isinf(t1) and t1 > 0:
-        return math.inf
-    return np.logaddexp(t1, t2) - math.log(rho)
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Gamma(a, x) via the Lentz continued fraction, for x >= 1, x > a."""
+def _log_upper_gamma_cf(a: float, x: float) -> float:
+    """log Gamma(a, x) by the modified Lentz continued fraction, which
+    converges within a few terms where x + 1 - a is well above 1."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -191,14 +142,38 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return math.exp(a * math.log(x) - x) * h
+    return a * math.log(x) - x + math.log(h)
 
 
-def bessel_k(v: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_v(x), x > 0."""
-    if not x > 0:
-        raise DomainError(f"bessel_k requires x > 0, got {x}")
-    return float(sp.kv(v, x))
+def _log_lower_gamma(a: float, x: float) -> float:
+    """log of gamma(a, x) (lower incomplete), a > 0, x > 0."""
+    p = sp.gammainc(a, x)
+    if p > 0.0:
+        return float(math.log(p) + math.lgamma(a))
+    return a * math.log(x) - x - math.log(a)
+
+
+def igamma_reduction_log(rho: float, beta: float, z: float):
+    """log of (Gamma(beta, z) + z^-rho gamma(beta+rho, z)) / rho.
+
+    This is the closed form of G^{2,1}_{2,3}[z | (1-rho, 1); (0, beta, -rho)]
+    for rho > 0, beta + rho > 0, z > 0; both terms are positive, so only the
+    log magnitude is needed.  Stays finite for pointing exponents far beyond
+    the double-precision range of the linear value.
+    """
+    if not (rho > 0 and beta + rho > 0 and z > 0):
+        raise DomainError(
+            f"igamma reduction requires rho > 0, beta + rho > 0, z > 0; "
+            f"got rho={rho}, beta={beta}, z={z}")
+    t2 = -rho * math.log(z) + _log_lower_gamma(beta + rho, z)
+    if beta <= -50.0:
+        t1 = _log_upper_gamma_cf(beta, z)
+    else:
+        v = upper_incomplete_gamma(beta, z)
+        t1 = math.log(v) if v > 0.0 else -math.inf
+    if math.isinf(t1) and t1 > 0:
+        return math.inf
+    return np.logaddexp(t1, t2) - math.log(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +270,6 @@ def _canonical(spec: MeijerGSpec) -> MeijerGSpec:
     return MeijerGSpec(tuple(af), tuple(ab), tuple(bf), tuple(bb), spec.z)
 
 
-def _inverted(spec: MeijerGSpec) -> MeijerGSpec:
-    """Argument inversion: G^{m,n}_{p,q}[z|a;b] = G^{n,m}_{q,p}[1/z|1-b;1-a]."""
-    return MeijerGSpec(
-        a_front=tuple(1.0 - b for b in spec.b_front),
-        a_back=tuple(1.0 - b for b in spec.b_back),
-        b_front=tuple(1.0 - a for a in spec.a_front),
-        b_back=tuple(1.0 - a for a in spec.a_back),
-        z=1.0 / spec.z,
-    )
-
-
 def _has_log_poles(spec: MeijerGSpec) -> bool:
     """True when two right pole families differ by an integer (incl. zero)."""
     bf = spec.b_front
@@ -321,71 +285,6 @@ def _has_log_poles(spec: MeijerGSpec) -> bool:
             if d > 0.5 and _is_near_integer(d):
                 return True
     return False
-
-
-def _try_reduction(spec: MeijerGSpec):
-    """Exact closed forms for the small patterns used by the link metrics."""
-    m, n, p, q = spec.m, spec.n, spec.p, spec.q
-    if (m, n, p, q) == (1, 0, 0, 1):
-        # G^{1,0}_{0,1}[z | - ; b] = z^b exp(-z)
-        b = spec.b_front[0]
-        return KernelValue(math.exp(b * math.log(spec.z) - spec.z))
-    if (m, n, p, q) == (2, 0, 0, 2):
-        # G^{2,0}_{0,2}[z | - ; b1, b2] = 2 z^((b1+b2)/2) K_{b1-b2}(2 sqrt(z))
-        b1, b2 = spec.b_front
-        rt = math.sqrt(spec.z)
-        return KernelValue(2.0 * spec.z ** (0.5 * (b1 + b2)) * bessel_k(b1 - b2, 2.0 * rt))
-    if (m, n, p, q) == (2, 1, 2, 3):
-        # G^{2,1}_{2,3}[z | (1-rho, 1) ; (0, beta, -rho)]
-        #   = (Gamma(beta, z) + z^-rho gamma(beta+rho, z)) / rho
-        # -- the incomplete-gamma pattern every alpha-mu CDF-type identity
-        # in the closed forms reduces to.  Valid for all z > 0.
-        a1, a2 = spec.a_front[0], spec.a_back[0]
-        b1, b2 = spec.b_front
-        b3 = spec.b_back[0]
-        rho = 1.0 - a1
-        if (a2 == 1.0 and b1 == 0.0 and abs(b3 - (a1 - 1.0)) < 1e-13
-                and rho > 0 and b2 + rho > 0):
-            logmag = igamma_reduction_log(rho, b2, spec.z)
-            if logmag > 709.0:
-                raise MeijerGUnsupportedError(
-                    "incomplete-gamma reduction exceeds the double range; "
-                    "use igamma_reduction_log directly")
-            return KernelValue(math.exp(logmag) if logmag > -745.0 else 0.0)
-    return None
-
-
-def _asymptotic_all_lower_front(spec: MeijerGSpec) -> KernelValue:
-    """Leading exponential asymptotic of G^{q,0}_{p,q}[z] for large z.
-
-    G ~ (2pi)^((sigma-1)/2) sigma^(-1/2) exp(-sigma z^(1/sigma)) z^theta with
-    sigma = q - p and theta = (sum b - sum a + (p - q + 1)/2) / sigma.  Used
-    only where the exponential factor is below ~1e-20, where the relative
-    error of the dropped z^(-1/sigma) correction is irrelevant but positivity
-    and decay of the density tail must be preserved.
-    """
-    sigma = spec.q - spec.p
-    theta = (sum(spec.b_front) - sum(spec.a_back)
-             + 0.5 * (spec.p - spec.q + 1)) / sigma
-    logv = (0.5 * (sigma - 1) * math.log(2.0 * math.pi)
-            - 0.5 * math.log(sigma)
-            - sigma * spec.z ** (1.0 / sigma)
-            + theta * math.log(spec.z))
-    return KernelValue(math.exp(logv) if logv > -745.0 else 0.0,
-                       frozenset({"asymptotic-tail"}))
-
-
-def _log_lower_gamma(a: float, x: float) -> float:
-    """log of gamma(a, x) (lower incomplete), a > 0, x > 0."""
-    p = sp.gammainc(a, x)
-    if p > 0.0:
-        return float(math.log(p) + math.lgamma(a))
-    return a * math.log(x) - x - math.log(a)
-
-
-def _log_gamma_signed(x: float):
-    """(log|Gamma(x)|, sign) for real non-pole x."""
-    return float(sp.gammaln(x)), float(sp.gammasgn(x))
 
 
 _LARGE_GAMMA_ARG = 100.0
@@ -570,6 +469,19 @@ def meijer_g_residue(spec: MeijerGSpec,
     return KernelValue(total, frozenset(flags))
 
 
+def meijer_g_leading(spec: MeijerGSpec) -> float:
+    """The leading (k = 0) residues of :func:`meijer_g_residue`'s series
+    summed over its cached pole families: the small-z asymptote."""
+    _validate_z(spec.z)
+    fams = _residue_families(spec.a_front, spec.a_back, spec.b_front,
+                             spec.b_back)
+    if fams.unsupported:
+        raise MeijerGUnsupportedError(fams.unsupported)
+    logz = math.log(spec.z)
+    return sum(sign * math.exp(logmag + bh * logz)
+               for bh, logmag, sign, *_ in fams.families)
+
+
 # Gauss-Legendre nodes/weights reused across contour panels.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -679,30 +591,14 @@ def meijer_g_contour(spec: MeijerGSpec,
 def meijer_g(spec: MeijerGSpec) -> KernelValue:
     """Evaluate a Meijer-G function, routing to the appropriate method.
 
-    Routing order: exact reduction when the parameter pattern matches, then
-    argument inversion for p > q (or p == q with z > 1), the contour path
-    for logarithmic pole layouts, and the residue series otherwise with the
-    contour as a conditioning fallback.
+    The contour path takes logarithmic pole layouts; everything else takes
+    the residue series, with the contour as the fallback where the series
+    raises or is flagged ``truncation-cap`` or ``residue-ill-conditioned``.
     """
     spec = _canonical(spec)
     _validate(spec)
-
-    reduced = _try_reduction(spec)
-    if reduced is not None:
-        return reduced
-
-    if spec.n == 0 and spec.m == spec.q and spec.q > spec.p:
-        sigma = spec.q - spec.p
-        if sigma * spec.z ** (1.0 / sigma) > 46.0:
-            return _asymptotic_all_lower_front(spec)
-
-    if spec.p > spec.q or (spec.p == spec.q and spec.z > 1.0):
-        inner = meijer_g(_inverted(spec))
-        return inner
-
-    if _has_log_poles(spec) or (spec.p == spec.q and spec.z == 1.0):
+    if _has_log_poles(spec):
         return meijer_g_contour(spec)
-
     try:
         result = meijer_g_residue(spec)
     except MeijerGUnsupportedError:

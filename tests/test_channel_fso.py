@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from fsothz import channel_fso, figures, specfun
 from fsothz.channel_fso import (PointingGeometry, attenuation,
@@ -364,7 +364,7 @@ class TestSnrDistribution:
             return (2.0 * (al * be) ** ((al + be) / 2.0)
                     / (math.gamma(al) * math.gamma(be))
                     * x ** ((al + be) / 2.0 - 1.0)
-                    * specfun.bessel_k(al - be, 2.0 * math.sqrt(al * be * x)))
+                    * special.kv(al - be, 2.0 * math.sqrt(al * be * x)))
 
         for g in np.geomspace(0.05 * delta, 2.0 * delta, 6):
             upper = (g / delta) ** (1.0 / spec.detection_tau) / a0

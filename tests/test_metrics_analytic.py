@@ -135,6 +135,43 @@ class TestAsymptotics:
         assert 0.8 < exact / asym < 1.2
 
 
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_computes_only_the_cdfs_of_its_link(self, soft, monkeypatch):
+        spec = system_spec(snr_db=50.0, policy=soft_policy() if soft else None)
+        cdfs = {}
+        for link in ("fso", "thz", "access"):
+            cdfs[link] = getattr(ma, f"asymptotic_cdf_{link}")
+        if soft:
+            p_low = cdfs["fso"](spec.policy.gamma_f_th_l, spec.fso, 50.0)
+            p_hig = 1.0 - cdfs["fso"](spec.policy.gamma_f_th_u, spec.fso, 50.0)
+            f_fso = p_low / (p_low + p_hig)
+        else:
+            f_fso = cdfs["fso"](spec.policy.gamma_th, spec.fso, 50.0)
+        f_thz = cdfs["thz"](activation_threshold(spec.policy, "thz"),
+                            spec.thz, 50.0)
+        f_acc = cdfs["access"](spec.gamma_r_th, spec.access, 50.0)
+        want = {"fso": f_fso, "thz": f_thz, "hybrid": f_fso * f_thz,
+                "access": f_acc, "e2e": f_fso * f_thz + f_acc}
+        calls = {}
+
+        def counted(link):
+            def cdf(*args):
+                calls[link] = calls.get(link, 0) + 1
+                return cdfs[link](*args)
+            return cdf
+
+        for link in cdfs:
+            monkeypatch.setattr(ma, f"asymptotic_cdf_{link}", counted(link))
+        n_fso = 2 if soft else 1
+        per_link = {"fso": {"fso": n_fso}, "thz": {"thz": 1},
+                    "hybrid": {"fso": n_fso, "thz": 1}, "access": {"access": 1},
+                    "e2e": {"fso": n_fso, "thz": 1, "access": 1}}
+        for link, counts in per_link.items():
+            calls.clear()
+            assert ma.asymptotic_outage(spec, link) == want[link]
+            assert calls == counts, link
+
+
 def _quad_capacity(pdf, gamma_th, anchor, xi=1.0):
     def integrand(g):
         return math.log1p(xi * g) / math.log(2.0) * pdf(g)

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fsothz import channel_fso, specfun
+from fsothz import metrics_analytic as ma
 from fsothz.errors import DomainError, MeijerGUnsupportedError
 from fsothz.figures import FIGURE_IDS, figure_jobs
 from fsothz.specfun import MeijerGSpec, meijer_g, meijer_g_contour, meijer_g_residue
+from fsothz.switching import activation_threshold
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -86,33 +88,6 @@ class TestUpperIncompleteGamma:
             specfun.upper_incomplete_gamma(1.0, -0.1)
 
 
-class TestBesselK:
-    def test_half_order_closed_form(self):
-        for x in (0.5, 1.0, 2.3, 8.0):
-            want = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-            assert specfun.bessel_k(0.5, x) == pytest.approx(want, rel=1e-12)
-
-    def test_order_symmetry(self):
-        for v, x in ((0.3, 1.0), (1.851, 2.3), (4.0, 7.5)):
-            assert specfun.bessel_k(v, x) == pytest.approx(
-                specfun.bessel_k(-v, x), rel=1e-12)
-
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_cosine_integral_oracle(self):
-        # K_v(x) = Gamma(v+1/2)(2x)^v/sqrt(pi) * int cos(t)/(x^2+t^2)^(v+1/2) dt
-        v, x = 1.851, 2.3
-        integral, err = integrate.quad(
-            lambda t: (x * x + t * t) ** (-(v + 0.5)), 0.0, math.inf,
-            weight="cos", wvar=1.0, limit=400, epsabs=1e-15, epsrel=1e-14)
-        want = math.gamma(v + 0.5) * (2.0 * x) ** v / math.sqrt(math.pi) * integral
-        assert err < 1e-12 * integral
-        assert specfun.bessel_k(v, x) == pytest.approx(want, rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            specfun.bessel_k(1.0, 0.0)
-
-
 def _erfc_series(x, terms=200):
     total = 0.0
     term = x
@@ -180,13 +155,6 @@ class TestMeijerG:
             got = meijer_g(MeijerGSpec((), (), (0.0,), (), z))
             assert got.value == pytest.approx(math.exp(-z), rel=1e-13)
 
-    def test_bessel_reduction_cross_checks_bessel_k(self):
-        for v, x in ((0.7, 1.3), (1.851, 2.3)):
-            got = meijer_g(MeijerGSpec((), (), (v / 2.0, -v / 2.0), (),
-                                       x * x / 4.0))
-            assert got.value == pytest.approx(2.0 * specfun.bessel_k(v, x),
-                                              rel=1e-10)
-
     @pytest.mark.parametrize("z", [1e-6, 1e-3, 0.1, 1.0, 10.0, 87.0])
     def test_fso_cdf_instance_vs_mpmath(self, z):
         assert meijer_g(fso_cdf_spec(z)).value == pytest.approx(
@@ -194,13 +162,8 @@ class TestMeijerG:
 
     @pytest.mark.parametrize("z", [1e-5, 0.3, 2.0, 30.0, 400.0])
     def test_thz_cdf_instance_vs_mpmath(self, z):
-        assert meijer_g(thz_cdf_spec(z)).value == pytest.approx(
-            _mp_meijerg(thz_cdf_spec(z)), rel=1e-9)
-
-    def test_inversion_identity_p_gt_q(self):
-        # capacity identity instance with p > q routes through inversion
-        spec = MeijerGSpec((1.0 - 4.0, 1.0, 1.0), (), (1.0,), (0.0,), 31.0)
-        assert meijer_g(spec).value == pytest.approx(_mp_meijerg(spec), rel=1e-9)
+        got = math.exp(specfun.igamma_reduction_log(RHO_T, C2_T, z))
+        assert got == pytest.approx(_mp_meijerg(thz_cdf_spec(z)), rel=1e-9)
 
     def test_unsupported_pinch_raises(self):
         spec = MeijerGSpec((2.0,), (), (1.0,), (0.5, 0.5, 0.5), 0.5)
@@ -226,36 +189,22 @@ class TestMeijerG:
 
 
 def _capacity_identity_specs(z):
-    """The exact parameter tuples of every closed-form identity in use."""
+    """The parameter tuples of the printed capacity identities: the FSO and
+    THz full-range terms (theta1, theta3) and lower terms (theta2, theta4)."""
     rho1 = (XI2_F + 1.0,)
     rho2 = (XI2_F, ALPHA_F, BETA_F)
-    alpha, mnt = 2.0, 4.0
+    alpha = 2.0
     c = XI2_T / 2.0
     rho3 = tuple((j - c - 1.0) / alpha for j in (1, 2)) \
         + tuple((j - c) / alpha for j in (1, 2)) + (0.5, 1.0)
     rho4 = (0.0, 0.5, C2_T / 2.0, (C2_T + 1.0) / 2.0) \
         + tuple((j - 1.0 - c) / alpha for j in (1, 2)) * 2
-    rho5 = tuple((j - c) / alpha for j in (1, 2)) \
-        + tuple((j - c - 0.5) / alpha for j in (1, 2)) + (0.5, 1.0)
-    rho6 = (0.0, 0.5, C2_T / 2.0, (C2_T + 1.0) / 2.0) \
-        + tuple((j - c - 1.0) / alpha for j in (1, 2))
-    ex = 1.5  # a representative erfc-series exponent (j1 = 1)
     return {
         "theta1": MeijerGSpec((0.0,), (1.0,) + rho1, rho2 + (0.0, 0.0), (), z),
         "theta2": MeijerGSpec((1.0 - 1e-4,), rho1, rho2, (-1e-4,), z),
         "theta3": MeijerGSpec(rho3[:2], rho3[2:], rho4, (), z),
         "theta4": MeijerGSpec((1.0 - RHO_T - 1e-4,), (1.0,), (0.0, C2_T),
                               (-RHO_T - 1e-4,), z),
-        "theta5": MeijerGSpec((1.0 - mnt, 1.0, 1.0), (), (1.0,), (0.0,), z),
-        "theta6": MeijerGSpec((1.0 - (mnt + 1.0), 1.0, 1.0), (),
-                              (1.0,), (0.0, -(mnt + 1.0)), z),
-        "theta7": MeijerGSpec((1.0, 0.5), rho1, rho2, (0.0,), z),
-        "theta8": MeijerGSpec((1.0 - ex,), rho1, rho2, (-ex,), z),
-        "theta9": MeijerGSpec(rho5[:4], rho5[4:], rho6[:4], rho6[4:], z),
-        "theta10": MeijerGSpec((1.0 - (XI2_T + 3.0) / alpha,), (1.0,),
-                               (0.0, C2_T), (-(XI2_T + 3.0) / alpha,), z),
-        "theta12": MeijerGSpec((1.0 - (mnt + 1.0),), (1.0,),
-                               (0.0, 0.5), (-(mnt + 1.0),), z),
     }
 
 
@@ -382,6 +331,80 @@ class TestResidueAgainstMpmath:
             channel_fso.fso_snr_cdf(gamma, spec.fso, spec.transmit_snr_db)
         info = specfun._residue_families.cache_info()
         assert (info.misses, info.hits) == (1, 49)
+
+
+@pytest.fixture(scope="module")
+def fig14a_printed_calls():
+    """The MeijerGSpecs that the printed capacity identities pass to
+    meijer_g, and the (rho, beta, z) they pass to igamma_reduction_log, at
+    every point of the fig14a ``closed`` job."""
+    job = {j.label: j for j in figure_jobs("fig14a")}["closed"]
+    specs, reductions = [], []
+    meijer, reduction = specfun.meijer_g, specfun.igamma_reduction_log
+
+    def recorded_meijer(spec):
+        specs.append(spec)
+        return meijer(spec)
+
+    def recorded_reduction(*args):
+        reductions.append(args)
+        return reduction(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "meijer_g", recorded_meijer)
+        mp.setattr(specfun, "igamma_reduction_log", recorded_reduction)
+        for value in job.config.sweep.values():
+            spec = job.config.with_sweep_value(float(value)).system_spec()
+            ma._printed_capacity_fso(activation_threshold(spec.policy, "fso"),
+                                     spec)
+            ma._printed_capacity_thz(activation_threshold(spec.policy, "thz"),
+                                     spec)
+    return specs, reductions
+
+
+class TestPrintedIdentitiesAgainstMpmath:
+    """The routes of the printed capacity identities (fig14a ``closed``)
+    against mpmath.meijerg at 30 digits, at that bundle's arguments."""
+
+    def test_full_range_terms_on_contour(self, fig14a_printed_calls):
+        # theta1 (FSO) and theta3 (THz) at 0 to 50 dB; mpmath's series need
+        # seconds at the THz z of 10 dB (9.9e4) and minutes at 0 and 5 dB
+        # (9.9e6, 9.9e5), which stay unchecked
+        specs, _ = fig14a_printed_calls
+        full = [spec for spec in specs if not spec.b_back]
+        assert len(full) == 22
+        checked = 0
+        for spec in full:
+            got = meijer_g_contour(spec)
+            assert not got.flags
+            assert meijer_g(spec) == got
+            if spec.z > 1e5:
+                continue
+            checked += 1
+            want = _mp_meijerg(specfun._canonical(spec))
+            assert got.value == pytest.approx(want, rel=1e-11, abs=0.0), spec
+        assert checked == 20
+
+    def test_fso_lower_terms(self, fig14a_printed_calls):
+        # theta2: the residue series, or the contour where it is flagged
+        specs, _ = fig14a_printed_calls
+        lower = [spec for spec in specs if spec.b_back]
+        assert len(lower) == 22
+        for spec in lower:
+            want = _mp_meijerg(spec)
+            assert meijer_g(spec).value == pytest.approx(
+                want, rel=1e-11, abs=0.0), spec
+
+    def test_thz_lower_terms_by_reduction(self, fig14a_printed_calls):
+        # theta4: G^{2,1}_{2,3}[z | (1-rho, 1); (0, beta, -rho)]
+        _, reductions = fig14a_printed_calls
+        assert len(reductions) == 22
+        for rho, beta, z in reductions:
+            with mpmath.workdps(30):
+                want = mpmath.log(mpmath.meijerg([[1 - rho], [1]],
+                                                 [[0, beta], [-rho]], z))
+            got = specfun.igamma_reduction_log(rho, beta, z)
+            assert got == pytest.approx(float(want), rel=0.0, abs=1e-12), z
 
 
 @settings(max_examples=200, deadline=None)
