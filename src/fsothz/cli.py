@@ -27,7 +27,7 @@ from . import monte_carlo as mc
 from .errors import (ConfigError, DomainError, MeijerGUnsupportedError,
                      NumericalIntegrityError)
 from .figures import FIGURE_IDS, figure_jobs
-from .switching import (HardPolicy, activation_threshold, count_switch_events,
+from .switching import (activation_threshold, count_switch_events,
                         evaluate_soft_trace)
 
 LINKS = ("fso", "thz", "hybrid", "access", "e2e")
@@ -196,19 +196,11 @@ def _trace_rows(cfg: cfgmod.ScenarioConfig, seed: int, samples: int,
                 rho: float) -> list:
     """Paired soft/hard switch counts over 20 seeds on identical draws."""
     spec = cfg.system_spec()
-    if isinstance(spec.policy, HardPolicy):
-        soft = None
-        base_db = cfg.sections["switching"]["gamma_th_db"]
-        soft_cfg = cfg.replaced("switching", mode="soft",
-                                gamma_f_th_u_db=base_db + 2.0,
-                                gamma_f_th_l_db=base_db - 2.0,
-                                gamma_t_th_db=base_db)
-        soft = soft_cfg.system_spec().policy
-        hard = spec.policy.as_soft()
-    else:
-        soft = spec.policy
-        hard = HardPolicy(10.0 ** (
-            cfg.sections["switching"]["gamma_th_db"] / 10.0)).as_soft()
+    if cfg.sections["switching"]["mode"] == "hard":
+        cfg = cfg.soft(2.0)
+    soft = cfg.system_spec().policy
+    hard = (cfg.replaced("switching", mode="hard").system_spec()
+            .policy.as_soft())
     n_slots = max(samples, mc.MIN_SAMPLES)
     rows = []
     for s in range(20):

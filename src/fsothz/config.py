@@ -164,6 +164,16 @@ class ScenarioConfig:
         sections.setdefault(section, {}).update(updates)
         return ScenarioConfig(sections)
 
+    def soft(self, eps_db: float) -> "ScenarioConfig":
+        """Soft switching with FSO thresholds gamma_th_db +- eps_db and THz
+        threshold gamma_t_th_db if the section sets it, else gamma_th_db."""
+        sw = self.sections["switching"]
+        base = sw["gamma_th_db"]
+        return self.replaced("switching", mode="soft",
+                             gamma_f_th_u_db=base + eps_db,
+                             gamma_f_th_l_db=base - eps_db,
+                             gamma_t_th_db=sw.get("gamma_t_th_db", base))
+
     def with_sweep_value(self, value: float) -> "ScenarioConfig":
         sweep = self.sweep
         if sweep is None:
@@ -182,10 +192,7 @@ class ScenarioConfig:
             out = self.replaced("fso", jitter_std_m=float(value))
             return out.replaced("thz", jitter_std_m=float(value))
         if axis == "epsilon_db":
-            base = self.sections["switching"]["gamma_th_db"]
-            return self.replaced("switching", mode="soft",
-                                 gamma_f_th_u_db=base + float(value),
-                                 gamma_f_th_l_db=base - float(value))
+            return self.soft(float(value))
         if axis == "n_antennas":
             out = self.replaced("thz", n_rx=int(round(value)))
             return out.replaced("access", n_tx=int(round(value)))

@@ -40,14 +40,6 @@ def _base(name: str) -> ScenarioConfig:
     return load_config(bundled_config_path(name))
 
 
-def _soft(cfg: ScenarioConfig, eps_db: float = 2.0) -> ScenarioConfig:
-    base = cfg.sections["switching"]["gamma_th_db"]
-    return cfg.replaced("switching", mode="soft",
-                        gamma_f_th_u_db=base + eps_db,
-                        gamma_f_th_l_db=base - eps_db,
-                        gamma_t_th_db=base)
-
-
 def _hard(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg.replaced("switching", mode="hard")
 
@@ -70,7 +62,7 @@ def figure_jobs(fig_id: str) -> list:
         for label, cfg in (("str_a", strong_a), ("mod_b", moderate_b)):
             jobs.append(FigureJob(f"hard_{label}", _hard(cfg), "outage",
                                   ("hybrid",), ("analytical", "mc")))
-            jobs.append(FigureJob(f"soft_{label}", _soft(cfg), "outage",
+            jobs.append(FigureJob(f"soft_{label}", cfg.soft(2.0), "outage",
                                   ("hybrid",), ("analytical", "mc")))
 
     elif fig_id == "fig6a":
@@ -133,7 +125,7 @@ def figure_jobs(fig_id: str) -> list:
             jobs.append(FigureJob(f"hard_{label}", _hard(cfg), "aber",
                                   ("hybrid",), ("analytical", "mc"),
                                   modulation=Modulation.bpsk()))
-            jobs.append(FigureJob(f"soft_{label}", _soft(cfg), "aber",
+            jobs.append(FigureJob(f"soft_{label}", cfg.soft(2.0), "aber",
                                   ("hybrid",), ("analytical", "mc"),
                                   modulation=Modulation.bpsk()))
 

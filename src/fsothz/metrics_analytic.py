@@ -27,9 +27,8 @@ from scipy import special
 
 from . import channel_access, channel_fso, channel_thz, specfun
 from .errors import DomainError, MeijerGUnsupportedError
-from .switching import (HardPolicy, SwitchPolicy, activation_threshold,
-                        hard_combined_outage, soft_combined_outage,
-                        soft_fso_off_probability)
+from .switching import (SwitchPolicy, activation_threshold,
+                        soft_combined_outage, soft_fso_off_probability)
 
 __all__ = [
     "Modulation",
@@ -237,15 +236,19 @@ def outage_access(spec: SystemSpec) -> KernelValue:
         spec.gamma_r_th, spec.access, spec.transmit_snr_db))
 
 
+def _fso_cdfs(spec: SystemSpec):
+    """(soft form of the policy, F_F(gamma_u), F_F(gamma_l)); one CDF
+    serves both where the thresholds coincide, as under hard switching."""
+    pol = spec.policy.as_soft()
+    fu = outage_fso(spec, pol.gamma_f_th_u)
+    fl = (fu if pol.gamma_f_th_l == pol.gamma_f_th_u
+          else outage_fso(spec, pol.gamma_f_th_l))
+    return pol, fu, fl
+
+
 def outage_hybrid(spec: SystemSpec) -> KernelValue:
     """Hybrid FSO/THz outage under the configured switching policy."""
-    pol = spec.policy
-    if isinstance(pol, HardPolicy):
-        ff = outage_fso(spec, pol.gamma_th)
-        ft = outage_thz(spec, pol.gamma_th)
-        return _merge(hard_combined_outage(pol.gamma_th, ff.value, ft.value), ff, ft)
-    fu = outage_fso(spec, pol.gamma_f_th_u)
-    fl = outage_fso(spec, pol.gamma_f_th_l)
+    pol, fu, fl = _fso_cdfs(spec)
     ft = outage_thz(spec, pol.gamma_t_th)
     return _merge(soft_combined_outage(pol, fu.value, fl.value, ft.value),
                   fu, fl, ft)
@@ -257,16 +260,12 @@ def outage_link(spec: SystemSpec, link: str) -> KernelValue:
     Under soft switching the FSO figure is the hysteresis off-probability
     (not a plain CDF), matching what the trace estimator measures.
     """
-    pol = spec.policy
     if link == "fso":
-        if isinstance(pol, HardPolicy):
-            return outage_fso(spec, pol.gamma_th)
-        fu = outage_fso(spec, pol.gamma_f_th_u)
-        fl = outage_fso(spec, pol.gamma_f_th_l)
+        _, fu, fl = _fso_cdfs(spec)
         return _merge(soft_fso_off_probability(
             fl.value, fu.value - fl.value, 1.0 - fu.value), fu, fl)
     if link == "thz":
-        return outage_thz(spec, activation_threshold(pol, link))
+        return outage_thz(spec, activation_threshold(spec.policy, link))
     if link == "access":
         return outage_access(spec)
     if link == "hybrid":
@@ -365,19 +364,20 @@ def asymptotic_cdf_access(gamma: float, access: channel_access.AccessLinkSpec,
 def asymptotic_outage(spec: SystemSpec, link: str = "e2e") -> float:
     """High-SNR outage approximation for a link or the E2E composition,
     from the asymptotic CDFs of only the links that ``link`` composes."""
-    pol, snr = spec.policy, spec.transmit_snr_db
+    pol, snr = spec.policy.as_soft(), spec.transmit_snr_db
     if link == "access":
         return asymptotic_cdf_access(spec.gamma_r_th, spec.access, snr)
     if link == "thz":
-        return asymptotic_cdf_thz(activation_threshold(pol, "thz"), spec.thz, snr)
+        return asymptotic_cdf_thz(pol.gamma_t_th, spec.thz, snr)
     if link not in ("fso", "hybrid", "e2e"):
         raise DomainError(f"unknown link {link!r}")
-    if isinstance(pol, HardPolicy):
-        f_fso = asymptotic_cdf_fso(pol.gamma_th, spec.fso, snr)
-    else:
+    # coincident thresholds give A itself, not A / (A + (1 - A)): out of the
+    # high-SNR regime A runs far above 1, where that ratio loses A's digits
+    # or divides by zero
+    f_fso = asymptotic_cdf_fso(pol.gamma_f_th_u, spec.fso, snr)
+    if pol.gamma_f_th_l != pol.gamma_f_th_u:
         p_low = asymptotic_cdf_fso(pol.gamma_f_th_l, spec.fso, snr)
-        p_hig = 1.0 - asymptotic_cdf_fso(pol.gamma_f_th_u, spec.fso, snr)
-        f_fso = p_low / (p_low + p_hig)
+        f_fso = p_low / (p_low + (1.0 - f_fso))
     if link == "fso":
         return f_fso
     f_hyb = f_fso * asymptotic_outage(spec, "thz")
@@ -599,14 +599,9 @@ def _fso_states(spec: SystemSpec):
     its complement, with p_hig the survival above gamma_u taken directly:
     p_on keeps its digits where the FSO side is almost never on.
     """
-    pol = spec.policy
-    if isinstance(pol, HardPolicy):
-        pol = pol.as_soft()
+    pol, fu, fl = _fso_cdfs(spec)
     g_u, g_l = pol.gamma_f_th_u, pol.gamma_f_th_l
-    snr = spec.transmit_snr_db
-    fu = outage_fso(spec, g_u)
-    su = channel_fso.fso_snr_survival(g_u, spec.fso, snr)
-    fl = fu if g_l == g_u else outage_fso(spec, g_l)
+    su = channel_fso.fso_snr_survival(g_u, spec.fso, spec.transmit_snr_db)
     p_off = soft_fso_off_probability(fl.value, fu.value - fl.value, su.value)
     p_on = su.value / (fl.value + su.value)
     return (g_u, g_l, pol.gamma_t_th), p_off, p_on, (fu, su, fl)

@@ -44,8 +44,7 @@ from .channel_fso import FsoLinkSpec, PointingGeometry
 from .channel_thz import ThzLinkSpec
 from .errors import DomainError
 from .metrics_analytic import Modulation, SystemSpec, _xi_factor
-from .switching import (HardPolicy, SoftPolicy, SwitchState,
-                        activation_threshold, evaluate_soft_trace)
+from .switching import SoftPolicy, SwitchState, evaluate_soft_trace
 
 __all__ = [
     "RngStream",
@@ -318,9 +317,10 @@ def _slot_blocks(spec: SystemSpec, n: int, seed: int, link: str,
     links, and on the FSO link when ``fso_hysteresis`` is set, run the
     hysteresis trace; everything else is memoryless, with hard hybrid
     states taken from the trace of the coincident-threshold soft policy.
+    The policy's type, not its thresholds, selects the substream layout.
     """
     policy = spec.policy
-    soft = policy.as_soft() if isinstance(policy, HardPolicy) else policy
+    soft = policy.as_soft()
     snr_db = spec.transmit_snr_db
     if isinstance(policy, SoftPolicy) and (
             link in ("hybrid", "e2e") or (link == "fso" and fso_hysteresis)):
@@ -350,9 +350,9 @@ def _slot_blocks(spec: SystemSpec, n: int, seed: int, link: str,
         if link in ("access", "e2e"):
             gr = sample_access_snr(spec.access, snr_db, rng, size)
         if link == "fso":
-            states = np.where(gf >= activation_threshold(policy, "fso"), 0, 2)
+            states = np.where(gf >= soft.gamma_f_th_u, 0, 2)
         elif link == "thz":
-            states = np.where(gt >= activation_threshold(policy, "thz"), 1, 2)
+            states = np.where(gt >= soft.gamma_t_th, 1, 2)
         elif link != "access":
             states = evaluate_soft_trace(gf, gt, soft)
         yield gf, gt, gr, states

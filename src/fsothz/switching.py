@@ -1,15 +1,19 @@
 """Hard and soft (dual-FSO-threshold hysteresis) link selection.
 
-Distribution-level outage formulas live here together with the per-slot
-state machine used by trace simulation.  Threshold comparisons follow the
-switching procedure verbatim: >= at the upper FSO and THz thresholds,
-< at the lower FSO threshold.
+Hard switching is soft switching with coincident thresholds
+gamma_u = gamma_l = gamma_t: every distribution-level formula here and in
+the analytic layer is written for a :class:`SoftPolicy`, and a
+:class:`HardPolicy` enters them as its coincident-threshold twin
+(:meth:`HardPolicy.as_soft`).  The per-slot state machine used by trace
+simulation lives here too.  Threshold comparisons follow the switching
+procedure verbatim: >= at the upper FSO and THz thresholds, < at the lower
+FSO threshold.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -24,7 +28,6 @@ __all__ = [
     "ActiveLink",
     "SwitchState",
     "SwitchCounts",
-    "hard_combined_outage",
     "soft_fso_off_probability",
     "soft_combined_outage",
     "soft_switch_step",
@@ -38,14 +41,17 @@ class HardPolicy:
     """Single-threshold selection: FSO preferred, THz backup."""
 
     gamma_th: float
+    _soft: "SoftPolicy" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gamma_th > 0:
             raise DomainError(f"gamma_th must be positive, got {self.gamma_th}")
+        g = self.gamma_th
+        object.__setattr__(self, "_soft", SoftPolicy(g, g, g))
 
     def as_soft(self) -> "SoftPolicy":
         """Hard switching is soft switching with coincident thresholds."""
-        return SoftPolicy(self.gamma_th, self.gamma_th, self.gamma_th)
+        return self._soft
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,21 +70,21 @@ class SoftPolicy:
                 f"upper FSO threshold {self.gamma_f_th_u} below lower "
                 f"{self.gamma_f_th_l}")
 
+    def as_soft(self) -> "SoftPolicy":
+        """A soft policy is its own soft form."""
+        return self
+
 
 SwitchPolicy = Union[HardPolicy, SoftPolicy]
 
 
 def activation_threshold(policy: SwitchPolicy, link: str) -> float:
-    """SNR at or above which ``link`` ("fso" or "thz") is switched on.
-
-    That is the single threshold of a hard policy, and for a soft policy the
-    upper FSO threshold or the THz threshold.
-    """
+    """SNR at or above which ``link`` ("fso" or "thz") is switched on: the
+    upper FSO threshold or the THz threshold of the policy's soft form."""
     if link not in ("fso", "thz"):
         raise DomainError(f"no activation threshold for link {link!r}")
-    if isinstance(policy, HardPolicy):
-        return policy.gamma_th
-    return policy.gamma_f_th_u if link == "fso" else policy.gamma_t_th
+    soft = policy.as_soft()
+    return soft.gamma_f_th_u if link == "fso" else soft.gamma_t_th
 
 
 class ActiveLink(enum.Enum):
@@ -106,14 +112,6 @@ class SwitchCounts:
     def total(self) -> int:
         """All active-link identity changes, outage transitions included."""
         return self.link_switches + self.outage_transitions
-
-
-def hard_combined_outage(gamma_th: float, cdf_f: float, cdf_t: float) -> float:
-    """Hybrid outage under hard switching: both links below the threshold."""
-    for name, v in (("cdf_f", cdf_f), ("cdf_t", cdf_t)):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} must be a probability, got {v}")
-    return cdf_f * cdf_t
 
 
 def soft_fso_off_probability(p_low: float, p_med: float, p_hig: float) -> float:

@@ -3,7 +3,9 @@
 The benchmark reaches into the package by attribute (``specfun.meijer_g``,
 ``meijer_g_residue``, ``meijer_g_contour``, ``FLAG_CONTOUR_REFINE_CAP``,
 ``metrics_analytic.integrate`` and the layer entry points), so a deletion
-that drops one breaks it without failing any other test.
+that drops one breaks it without failing any other test.  Its eps = 0
+check rebuilds a hard point's spec under ``SoftPolicy(g, g, g)`` from
+``policy.gamma_th``, so the script also runs that check on one point.
 """
 
 import os
@@ -24,6 +26,11 @@ tracing.install(tracer)
 assert specfun.meijer_g is not before[0]
 tracer.restore()
 assert (specfun.meijer_g, metrics_analytic.integrate) == before
+import workloads
+from fsothz import figures
+job, = figures.figure_jobs("fig6a")
+op = workloads.Op("point", "fig6a@45dB", None, job=job, snr_db=45.0)
+assert checks._hard_soft_identity(op, workloads.run_point(job, 45.0)) == []
 print("ok")
 """
 

@@ -20,6 +20,7 @@ from fsothz.config import (bundled_config_path, load_config, parse_config,
                            serialize_config)
 from fsothz.errors import ConfigError
 from fsothz.figures import FIGURE_IDS, figure_jobs
+from fsothz.switching import HardPolicy, SoftPolicy
 
 
 def run_cli(argv):
@@ -73,6 +74,17 @@ class TestConfig:
         sw = point.sections["switching"]
         assert sw["gamma_f_th_u_db"] == pytest.approx(6.5)
         assert sw["gamma_f_th_l_db"] == pytest.approx(3.5)
+
+    def test_soft_twin_thresholds(self):
+        # FSO thresholds gamma_th_db +- eps; the THz threshold is the
+        # section's own where it sets one, else gamma_th_db
+        sw = load_config(bundled_config_path("default")).soft(1.5).sections[
+            "switching"]
+        assert ((sw["mode"], sw["gamma_f_th_u_db"], sw["gamma_f_th_l_db"],
+                 sw["gamma_t_th_db"]) == ("soft", 6.5, 3.5, 5.0))
+        cfg = load_config(bundled_config_path("fig11")).replaced(
+            "switching", gamma_t_th_db=4.0)
+        assert cfg.soft(1.5).sections["switching"]["gamma_t_th_db"] == 4.0
 
     def test_sweep_axis_n_antennas(self):
         cfg = load_config(bundled_config_path("fig6a")).replaced(
@@ -224,6 +236,32 @@ class TestRunCommand:
                 seed = cfg.seed + cli._POINT_SEED_STRIDE * sweep_values.index(snr)
                 est = mc.estimate_outage(spec, cfg.samples, seed, link)
                 assert value == pytest.approx(float(f"{est.value:.9g}"))
+
+    def test_epsilon_sweep_on_a_hard_config(self, tmp_path):
+        # the sweep makes a hard config soft; at eps = 0 that is the hard
+        # policy's coincident-threshold twin, row for row
+        cfg = load_config(bundled_config_path("default"))
+        swept = cfg.replaced("sweep", axis="epsilon_db", start=0.0, stop=2.0,
+                             steps=3)
+        path = tmp_path / "c.ini"
+        path.write_text(serialize_config(swept))
+        for method in ("analytical", "asymptotic"):
+            rc, out = run_cli(["run", "outage", "--config", str(path),
+                               "--method", method])
+            assert rc == 0
+            rows = _parse_csv(out)
+            assert {r[0] for r in rows} == {"0", "1", "2"}
+            rc, hard = run_cli(["run", "outage", "--config", "default",
+                                "--method", method])
+            assert rc == 0
+            assert ([r[1:] for r in rows if r[0] == "0"]
+                    == [r[1:] for r in _parse_csv(hard)])
+        twin = swept.with_sweep_value(0.0).system_spec()
+        spec = cfg.system_spec()
+        for link in cli.LINKS:
+            assert ma.outage_link(twin, link) == ma.outage_link(spec, link)
+            assert (ma.asymptotic_outage(twin, link)
+                    == ma.asymptotic_outage(spec, link))
 
     def test_capacity_rejects_asymptotic(self):
         rc, _ = run_cli(["run", "capacity", "--config", "fig6a",
@@ -383,6 +421,31 @@ class TestFigures:
             vals = [v for _, v in pts]
             kmin = vals.index(min(vals))
             assert 0 < kmin < len(vals) - 1, f"{label}: no interior minimum"
+
+
+class TestHardAsCoincidentSoft:
+    def test_bundle_rows_identical(self):
+        # every analytic row of every hard-policy bundle job, at its preset
+        # points, is the same under HardPolicy(g) and SoftPolicy(g, g, g)
+        jobs = 0
+        for fig_id in FIGURE_IDS:
+            for job in figure_jobs(fig_id):
+                policy = job.config.system_spec().policy
+                if not isinstance(policy, HardPolicy):
+                    continue
+                jobs += 1
+                twin = job.config.soft(0.0)
+                g = policy.gamma_th
+                assert twin.system_spec().policy == SoftPolicy(g, g, g)
+                methods = tuple(m for m in job.methods if m != "mc")
+                for payload in cli._sweep_payloads(
+                        job.config, job.command, methods, job.links, 0, 0,
+                        job.label, job.capacity_variant, job.modulation,
+                        job.sweep_values):
+                    at = (fig_id, job.label, payload[4])
+                    assert (cli._point_rows(twin, *payload[1:])
+                            == cli._point_rows(*payload)), at
+        assert jobs == 31
 
 
 class TestImportSet:

@@ -1,5 +1,6 @@
 """Closed-form metric tests against quadrature and classical reductions."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -170,6 +171,47 @@ class TestAsymptotics:
             calls.clear()
             assert ma.asymptotic_outage(spec, link) == want[link]
             assert calls == counts, link
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["hard", "soft-twin"])
+    def test_fig6a_point_takes_one_fso_cdf_per_link(self, twin, monkeypatch):
+        # coincident FSO thresholds cost one FSO CDF, exact or asymptotic,
+        # per composition that uses the FSO link, under either policy type
+        job, = figures.figure_jobs("fig6a")
+        spec = job.config.with_sweep_value(50.0).system_spec()
+        if twin:
+            g = spec.policy.gamma_th
+            spec = dataclasses.replace(spec, policy=SoftPolicy(g, g, g))
+        calls = {}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(channel_fso, "fso_snr_cdf",
+                            counted(channel_fso.fso_snr_cdf))
+        monkeypatch.setattr(ma, "asymptotic_cdf_fso",
+                            counted(ma.asymptotic_cdf_fso))
+        for link in job.links:
+            calls.update(fso_snr_cdf=0, asymptotic_cdf_fso=0)
+            ma.outage_link(spec, link)
+            ma.asymptotic_outage(spec, link)
+            n = int(link in ("fso", "hybrid", "e2e"))
+            assert calls == {"fso_snr_cdf": n, "asymptotic_cdf_fso": n}, link
+
+    def test_coincident_thresholds_report_the_asymptote_itself(self):
+        # below the high-SNR regime the asymptotic FSO CDF A runs far past
+        # 1; A / (A + (1 - A)) would divide by zero there
+        spec = system_spec(snr_db=-20.0)
+        g = spec.policy.gamma_th
+        a = ma.asymptotic_cdf_fso(g, spec.fso, -20.0)
+        assert a > 2.0 ** 53
+        twin = dataclasses.replace(spec, policy=SoftPolicy(g, g, g))
+        for s in (spec, twin):
+            assert ma.asymptotic_outage(s, "fso") == a
+            thz = ma.asymptotic_outage(s, "thz")
+            assert ma.asymptotic_outage(s, "hybrid") == a * thz
 
 
 def _quad_capacity(pdf, gamma_th, anchor, xi=1.0):

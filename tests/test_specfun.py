@@ -18,36 +18,6 @@ from fsothz.switching import activation_threshold
 
 mpmath = pytest.importorskip("mpmath")
 
-# 50-digit reference value of ln Gamma(4.343), frozen from mpmath.
-LN_GAMMA_4343 = 2.2387897368119507
-
-
-class TestLnGamma:
-    def test_one(self):
-        assert math.lgamma(1.0) == 0.0
-
-    def test_half(self):
-        assert math.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
-                                                      rel=1e-14)
-
-    def test_reference_value(self):
-        assert math.lgamma(4.343) == pytest.approx(LN_GAMMA_4343, rel=1e-14)
-        mpmath.mp.dps = 50
-        live = float(mpmath.loggamma(mpmath.mpf("4.343")))
-        assert math.lgamma(4.343) == pytest.approx(live, rel=1e-14)
-
-    def test_exp_matches_gamma(self):
-        for x in (0.1, 0.9, 2.5, 4.343, 20.0, 100.0):
-            assert math.exp(math.lgamma(x)) == pytest.approx(
-                math.gamma(x), rel=1e-12)
-
-    def test_domain(self):
-        # the poles of Gamma
-        with pytest.raises(ValueError):
-            math.lgamma(0.0)
-        with pytest.raises(ValueError):
-            math.lgamma(-2.0)
-
 
 class TestUpperIncompleteGamma:
     def test_at_zero_is_complete(self):
@@ -86,44 +56,6 @@ class TestUpperIncompleteGamma:
             specfun.upper_incomplete_gamma(-1.0, 0.0)
         with pytest.raises(DomainError):
             specfun.upper_incomplete_gamma(1.0, -0.1)
-
-
-def _erfc_series(x, terms=200):
-    total = 0.0
-    term = x
-    for j in range(terms):
-        total += term / (2 * j + 1)
-        term *= -x * x / (j + 1)
-    return 1.0 - 2.0 / math.sqrt(math.pi) * total
-
-
-def _erfc_continued_fraction(x, depth=2000):
-    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    cf = 0.0
-    for k in range(depth, 0, -1):
-        cf = (k / 2.0) / (x + cf)
-    return math.exp(-x * x) / math.sqrt(math.pi) / (x + cf)
-
-
-class TestErfc:
-    def test_at_zero(self):
-        assert math.erfc(0.0) == 1.0
-
-    def test_reflection(self):
-        for x in (0.2, 0.6267, 1.7, 3.0):
-            assert math.erfc(x) + math.erfc(-x) == pytest.approx(2.0,
-                                                                       abs=1e-15)
-
-    def test_tail_no_premature_underflow(self):
-        assert 0.0 < math.erfc(10.0) < 3e-45
-        assert math.erfc(11.9) > 0.0
-
-    def test_dual_method_oracle(self):
-        x = 0.6267
-        series = _erfc_series(x)
-        cf = _erfc_continued_fraction(x)
-        assert series == pytest.approx(cf, abs=1e-13)
-        assert math.erfc(x) == pytest.approx(series, abs=1e-12)
 
 
 def _mp_meijerg(spec):

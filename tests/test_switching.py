@@ -1,5 +1,7 @@
 """Switching logic tests: outage formulas, hysteresis state machine, counts."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,25 +10,10 @@ from hypothesis import strategies as st
 from fsothz.errors import DomainError
 from fsothz.switching import (ActiveLink, HardPolicy, SoftPolicy, SwitchState,
                               count_switch_events, evaluate_soft_trace,
-                              hard_combined_outage, soft_combined_outage,
-                              soft_fso_off_probability, soft_switch_step)
+                              soft_combined_outage, soft_fso_off_probability,
+                              soft_switch_step)
 
 POL = SoftPolicy(gamma_f_th_u=5.0, gamma_f_th_l=2.0, gamma_t_th=3.0)
-
-
-class TestHardCombinedOutage:
-    def test_perfect_fso(self):
-        assert hard_combined_outage(1.0, 0.0, 0.7) == 0.0
-
-    def test_both_certain(self):
-        assert hard_combined_outage(1.0, 1.0, 1.0) == 1.0
-
-    def test_product(self):
-        assert hard_combined_outage(1.0, 0.25, 0.5) == 0.125
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            hard_combined_outage(1.0, 1.2, 0.5)
 
 
 class TestSoftOffProbability:
@@ -60,12 +47,11 @@ class TestSoftOffProbability:
 
 class TestSoftCombinedOutage:
     def test_coincident_thresholds_equal_hard(self):
+        # hard switching's outage F_F F_T, exactly: the mid-band term is 0
         rng = np.random.default_rng(7)
         for _ in range(50):
             f, t = rng.random(), rng.random()
-            soft = soft_combined_outage(POL, f, f, t)
-            assert soft == pytest.approx(hard_combined_outage(1.0, f, t),
-                                         abs=1e-12)
+            assert soft_combined_outage(POL, f, f, t) == f * t
 
     def test_thz_never_fails(self):
         assert soft_combined_outage(POL, 0.5, 0.2, 0.0) == 0.0
@@ -133,6 +119,18 @@ class TestSoftSwitchStep:
 
 
 class TestHardSoftEquivalence:
+    def test_soft_form_built_once(self):
+        hard = HardPolicy(3.0)
+        assert hard.as_soft() is hard.as_soft()
+        assert hard.as_soft() == SoftPolicy(3.0, 3.0, 3.0)
+        soft = SoftPolicy(5.0, 2.0, 3.0)
+        assert soft.as_soft() is soft
+        # the twin stays out of equality, hashing and repr, and pickles
+        assert hard == HardPolicy(3.0) and hash(hard) == hash(HardPolicy(3.0))
+        assert repr(hard) == "HardPolicy(gamma_th=3.0)"
+        again = pickle.loads(pickle.dumps(hard))
+        assert again == hard and again.as_soft() == hard.as_soft()
+
     def test_paired_traces_identical_with_coincident_thresholds(self):
         hard = HardPolicy(3.0)
         soft = hard.as_soft()
