@@ -1,12 +1,18 @@
 """Channel samplers, estimators and switching traces.
 
 Every analytical quantity has an estimator here built from the exact channel
-mechanisms (product-of-Gammas scintillation, branch-wise alpha-mu MRC sums,
-Rayleigh misalignment), so agreement bounds both the closed forms and the
-single-variate aggregation approximations they build on.  Estimates are computed in fixed-size blocks
-with one RNG substream per block and combined in block order, which makes
-them bit-identical for a given (seed, partitioning) regardless of execution
-order or parallelism.
+mechanisms: product-of-Gammas scintillation, Rayleigh misalignment, and each
+diversity sum drawn from its exact law.  A sum of independent Gammas with a
+common scale is one Gamma whose shape is the sum of the shapes, so an access
+slot draws its N_t-branch MRT sum as one Gamma(N_t m) variate and a THz slot
+at alpha = 2 its N_r-branch MRC sum as one Gamma(N_r mu) variate.  For
+alpha != 2 the THz sum is no alpha-mu variate and is drawn branch by branch,
+so agreement there also bounds the single-variate approximation the closed
+form makes.  Correlated traces (rho > 0) keep one driver per THz branch.
+
+Estimates are computed in fixed-size blocks with one RNG substream per
+block and combined in block order, which makes them bit-identical for a
+given (seed, partitioning) regardless of execution order or parallelism.
 
 Substream layout: block ``i`` of ``BLOCK_SIZE`` slots draws from
 ``RngStream(seed, i)`` the FSO, then the THz, then the access SNRs, each
@@ -158,22 +164,26 @@ def sample_thz_snr(spec: ThzLinkSpec, transmit_snr_db: float,
     """Draw THz MRC SNRs from the exact N_r-branch alpha-mu sum.
 
     Branch amplitudes are |h_f| = Omega (G/mu)^(1/alpha) with G ~ Gamma(mu),
-    one shared misalignment gain per draw.
+    one shared misalignment gain per draw.  At alpha = 2 the branch powers
+    sum to Omega^2 (G_1 + ... + G_Nr)/mu, and that sum of Gammas is one
+    Gamma(N_r mu) draw; otherwise the sum is drawn branch by branch.
     """
-    sumsq = np.zeros(n)
-    for _ in range(spec.n_rx):
-        g = rng.gamma(spec.mu, 1.0, n)
-        sumsq += spec.omega ** 2 * (g / spec.mu) ** (2.0 / spec.alpha)
+    if spec.alpha == 2.0:
+        sumsq = spec.omega ** 2 * (rng.gamma(spec.n_rx * spec.mu, 1.0, n)
+                                   / spec.mu)
+    else:
+        sumsq = np.zeros(n)
+        for _ in range(spec.n_rx):
+            g = rng.gamma(spec.mu, 1.0, n)
+            sumsq += spec.omega ** 2 * (g / spec.mu) ** (2.0 / spec.alpha)
     hp = _pointing_gain(spec.pointing, rng, n)
     return spec.gamma_bar_t(transmit_snr_db) * hp * hp * sumsq
 
 
 def sample_access_snr(spec: AccessLinkSpec, transmit_snr_db: float,
                       rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw access SNRs from the branch-wise Gamma MRT sum."""
-    total = np.zeros(n)
-    for _ in range(spec.n_tx):
-        total += rng.gamma(spec.m, spec.omega_r / spec.m, n)
+    """Draw access SNRs: the N_t-branch Gamma(m) MRT sum is one Gamma(N_t m)."""
+    total = rng.gamma(spec.n_tx * spec.m, spec.omega_r / spec.m, n)
     p = 10.0 ** (transmit_snr_db / 10.0)
     return p * spec.p_l * total
 
@@ -467,8 +477,8 @@ def sample_trace_snrs(spec: SystemSpec, n_slots: int, rho: float,
     """Full per-slot (gamma_F, gamma_T) arrays for paired policy studies."""
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"correlation rho must lie in [0, 1), got {rho}")
-    gfs, gts = [], []
-    for gf, gt in _snr_chunk_iter(spec, n_slots, rho, RngStream(seed)):
-        gfs.append(gf)
-        gts.append(gt)
+    chunks = list(_snr_chunk_iter(spec, n_slots, rho, RngStream(seed)))
+    if len(chunks) == 1:
+        return chunks[0]
+    gfs, gts = zip(*chunks)
     return np.concatenate(gfs), np.concatenate(gts)

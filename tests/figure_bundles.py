@@ -9,7 +9,9 @@ this script and lists the moved rows with their oracle values in
 CHANGES.md.  ``--diff`` first prints each moved row against the files in
 place (sweep value, metric, method: old -> new value, ci_lo, ci_hi,
 flags), keyed as ``tests/test_figure_bytes.py`` keys them when it compares
-each bundle byte for byte.
+each bundle byte for byte.  A moved ``mc`` row also shows the new bundle's
+``analytical`` value of the same sweep value and metric, and whether its
+new [ci_lo, ci_hi] holds it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,21 @@ def keyed_rows(text: str) -> dict:
     return rows
 
 
+def analytic_note(key: tuple, rows: dict) -> str:
+    """The analytic partner of an ``mc`` row and whether its interval holds it.
+
+    Empty for other methods and for rows without a partner.
+    """
+    sweep, metric, method = key
+    partner = rows.get((sweep, metric, "analytical"))
+    if method != "mc" or partner is None or key not in rows:
+        return ""
+    value = partner.split(",", 1)[0]
+    _, lo, hi, _ = rows[key].split(",", 3)
+    where = "in" if float(lo) <= float(value) <= float(hi) else "OUTSIDE"
+    return f"  [analytical {value}: {where} [ci_lo, ci_hi]]"
+
+
 def moved_rows(old: str, new: str) -> list:
     """One line per row that differs between two bundles, in key order."""
     before, after = keyed_rows(old), keyed_rows(new)
@@ -55,7 +72,8 @@ def moved_rows(old: str, new: str) -> list:
     for key in sorted(before.keys() | after.keys()):
         was, now = before.get(key, "<absent>"), after.get(key, "<absent>")
         if was != now:
-            moved.append(f"{','.join(key)}: {was} -> {now}")
+            moved.append(f"{','.join(key)}: {was} -> {now}"
+                         + analytic_note(key, after))
     return moved
 
 

@@ -110,14 +110,62 @@ class TestSamplers:
         want = spec.gamma_bar_t(SNR) * hp2_mean * spec.n_rx * spec.omega ** 2
         assert gamma.mean() == pytest.approx(want, rel=0.02)
 
-    def test_thz_empirical_cdf_matches_closed_form(self):
-        # for alpha = 2 the single alpha-mu MRC replacement is exact, so the
-        # KS distance also measures the approximation error: report it
-        spec = thz_spec()
+    @pytest.mark.parametrize("n_rx", [1, 2, 3])
+    def test_thz_empirical_cdf_matches_closed_form(self, n_rx):
+        # at alpha = 2 the closed form's single alpha-mu MRC law is exact,
+        # so any KS distance here is sampling noise or a wrong law
+        spec = thz_spec(n_rx=n_rx)
         rng = mc.RngStream(6).generator()
         gamma = mc.sample_thz_snr(spec, SNR, rng, N)
         p = ks_pvalue(gamma, lambda g: thz_snr_cdf(g, spec, SNR).value)
         assert p > 0.01
+
+    def test_thz_branch_sum_moments_off_alpha_two(self):
+        # at alpha = 3 the MRC sum is no alpha-mu variate and is drawn branch
+        # by branch; with the pointing gain frozen at A0 the sum's first two
+        # moments follow from E[X^k] = Omega^2k G(mu + 2k/a)/(G(mu) mu^(2k/a))
+        alpha, mu, n_rx = 3.0, 3.0, 2
+        spec = thz_spec(alpha=alpha, mu=mu, n_rx=n_rx)
+        spec = thz_spec(alpha=alpha, mu=mu, n_rx=n_rx,
+                        jitter_std_m=spec.pointing.w_leq_m / (2.0 * 1e6))
+        rng = mc.RngStream(12).generator()
+        s = mc.sample_thz_snr(spec, SNR, rng, N) / (
+            spec.gamma_bar_t(SNR) * spec.a0_t ** 2)
+
+        def branch_moment(k):
+            return (spec.omega ** (2 * k)
+                    * math.exp(math.lgamma(mu + 2.0 * k / alpha)
+                               - math.lgamma(mu))
+                    / mu ** (2.0 * k / alpha))
+
+        m1, m2 = branch_moment(1), branch_moment(2)
+        want_mean = n_rx * m1
+        want_sq = n_rx * m2 + n_rx * (n_rx - 1) * m1 * m1
+        assert abs(s.mean() - want_mean) < 4.0 * s.std() / math.sqrt(N)
+        s2 = s * s
+        assert abs(s2.mean() - want_sq) < 4.0 * s2.std() / math.sqrt(N)
+
+    def test_single_branch_draws_match_branch_formula(self):
+        # with one branch the aggregate draw is the per-branch formula,
+        # variate for variate, on the same substream
+        n = 1000
+        thz = thz_spec(n_rx=1)
+        rng = mc.RngStream(13).generator()
+        g = rng.gamma(thz.mu, 1.0, n)
+        sumsq = np.zeros(n)
+        sumsq += thz.omega ** 2 * (g / thz.mu) ** (2.0 / thz.alpha)
+        hp = mc._pointing_gain(thz.pointing, rng, n)
+        want = thz.gamma_bar_t(SNR) * hp * hp * sumsq
+        got = mc.sample_thz_snr(thz, SNR, mc.RngStream(13).generator(), n)
+        assert np.array_equal(got, want)
+
+        acc = access_spec(m=2.0, n_tx=1)
+        rng = mc.RngStream(14).generator()
+        total = np.zeros(n)
+        total += rng.gamma(acc.m, acc.omega_r / acc.m, n)
+        want = 10.0 ** (SNR / 10.0) * acc.p_l * total
+        got = mc.sample_access_snr(acc, SNR, mc.RngStream(14).generator(), n)
+        assert np.array_equal(got, want)
 
     def test_access_exponential_reduction(self):
         spec = access_spec(m=1.0, n_tx=1)
@@ -134,8 +182,11 @@ class TestSamplers:
         sd = want / math.sqrt(spec.m * spec.n_tx)
         assert gamma.mean() == pytest.approx(want, abs=3.0 * sd / math.sqrt(N))
 
-    def test_access_empirical_cdf_matches_closed_form(self):
-        spec = access_spec()
+    # m = 3, N_t = 5 is fig6b's m3nt5 access link
+    @pytest.mark.parametrize("m,n_tx", [(2.0, 2), (3.0, 5)],
+                             ids=["m2nt2", "m3nt5"])
+    def test_access_empirical_cdf_matches_closed_form(self, m, n_tx):
+        spec = access_spec(m=m, n_tx=n_tx)
         rng = mc.RngStream(9).generator()
         gamma = mc.sample_access_snr(spec, SNR, rng, N)
         p = ks_pvalue(gamma, lambda g: access_snr_cdf(g, spec, SNR))
