@@ -211,7 +211,8 @@ def thz_snr_pdf(gamma: float, spec: ThzLinkSpec,
     # each leave the double range while their product stays ordinary.
     log_pref = (spec.log_c1 - math.log(2.0) + (xi2 / 2.0 - 1.0) * math.log(gamma)
                 - xi2 / 2.0 * math.log(gbar))
-    if spec.c2 <= -50.0:
+    # for C2 < 0 the downward recurrence cancels at large x; the fraction does not
+    if spec.c2 < 0.0 and (x >= 1.0 or spec.c2 <= -50.0):
         log_tail = specfun._log_upper_gamma_cf(spec.c2, x)
     else:
         tail = specfun.upper_incomplete_gamma(spec.c2, x)
@@ -224,7 +225,7 @@ def thz_snr_pdf(gamma: float, spec: ThzLinkSpec,
 
 def thz_snr_cdf(gamma: float, spec: ThzLinkSpec,
                 transmit_snr_db: float) -> specfun.KernelValue:
-    """P(gamma_T <= gamma) via the closed Meijer-G form."""
+    """P(gamma_T <= gamma): the incomplete-gamma reduction of the closed form."""
     if gamma < 0:
         raise DomainError(f"thz_snr_cdf requires gamma >= 0, got {gamma}")
     if gamma == 0.0:

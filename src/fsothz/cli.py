@@ -27,10 +27,8 @@ from . import monte_carlo as mc
 from .errors import (ConfigError, DomainError, MeijerGUnsupportedError,
                      NumericalIntegrityError)
 from .figures import FIGURE_IDS, figure_jobs
-from .switching import (activation_threshold, count_switch_events,
-                        evaluate_soft_trace)
+from .switching import count_switch_events, evaluate_soft_trace
 
-LINKS = ("fso", "thz", "hybrid", "access", "e2e")
 METHODS = ("analytical", "asymptotic", "mc", "all")
 COMMANDS = ("outage", "capacity", "aber", "diversity", "trace")
 
@@ -90,19 +88,15 @@ def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
     for link in links:
         name = _metric_name(command, link, label)
         approx = ((FLAG_THZ_MRC_APPROX,)
-                  if thz_approx and link in ("thz", "hybrid", "e2e") else ())
+                  if thz_approx and "thz" in ma.LINKS[link].hops else ())
         if "analytical" in methods:
-            if command == "outage":
-                res = ma.outage_link(spec, link)
-            elif command == "capacity":
-                if capacity_variant == "closed" and link in ("fso", "thz"):
-                    fn = ma.capacity_fso if link == "fso" else ma.capacity_thz
-                    res = fn(activation_threshold(spec.policy, link), spec,
-                             closed_form_only=True)
-                else:
-                    res = ma.capacity_link(spec, link)
-            else:
+            if capacity_variant == "closed" and link in ("fso", "thz"):
+                res = getattr(ma, f"capacity_{link}")(
+                    spec.threshold(link), spec, closed_form_only=True)
+            elif command == "aber":
                 res = ma.aber_link(spec, mod, link)
+            else:
+                res = getattr(ma, f"{command}_link")(spec, link)
             _check_range(command, name, res.value, sweep_value, mod)
             rows.append(_row(sweep_value, name, "analytical", res.value,
                              flags=res.flags.union(approx)))
@@ -113,12 +107,11 @@ def _point_rows(cfg: cfgmod.ScenarioConfig, command: str, methods: tuple,
             rows.append(_row(sweep_value, name, "asymptotic", val,
                              flags=flags))
         if "mc" in methods:
-            if command == "outage":
-                est = mc.estimate_outage(spec, samples, seed, link)
-            elif command == "capacity":
-                est = mc.estimate_capacity(spec, samples, seed, link)
-            else:
+            if command == "aber":
                 est = mc.estimate_aber(spec, mod, samples, seed, link)
+            else:
+                est = getattr(mc, f"estimate_{command}")(
+                    spec, samples, seed, link)
             flags = ((FLAG_MC_NO_TRANSMISSION,) if math.isnan(est.value)
                      else ())
             rows.append(_row(sweep_value, name, "mc", est.value,
@@ -222,7 +215,7 @@ def _diversity_rows(cfg: cfgmod.ScenarioConfig) -> list:
     snr = spec.transmit_snr_db
     return [_row(snr, f"diversity:{link}", "analytical",
                  getattr(orders, link))
-            for link in LINKS]
+            for link in ma.LINKS]
 
 
 def _cmd_run(args) -> int:
@@ -240,8 +233,8 @@ def _cmd_run(args) -> int:
         rows = _trace_rows(cfg, seed, samples, cfg.rho)
     else:
         methods = _expand_methods(args.method, args.command)
-        payloads = _sweep_payloads(cfg, args.command, methods, LINKS,
-                                   seed, samples)
+        payloads = _sweep_payloads(cfg, args.command, methods,
+                                   tuple(ma.LINKS), seed, samples)
         rows = _run_payloads(payloads, args.workers)
     _emit(rows, args.out)
     return 0

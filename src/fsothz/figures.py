@@ -14,14 +14,12 @@ import numpy as np
 
 from .config import ScenarioConfig, load_config, bundled_config_path
 from .errors import ConfigError
-from .metrics_analytic import Modulation
+from .metrics_analytic import LINKS, Modulation
 
 __all__ = ["FigureJob", "FIGURE_IDS", "figure_jobs"]
 
 FIGURE_IDS = ("fig5", "fig6a", "fig6b", "fig7", "fig8", "fig9", "fig10",
               "fig11", "fig12", "fig13", "fig14a", "fig14b")
-
-ALL_LINKS = ("fso", "thz", "hybrid", "access", "e2e")
 
 
 @dataclass(frozen=True)
@@ -66,12 +64,12 @@ def figure_jobs(fig_id: str) -> list:
                                   ("hybrid",), ("analytical", "mc")))
 
     elif fig_id == "fig6a":
-        jobs.append(FigureJob("", strong_a, "outage", ALL_LINKS,
+        jobs.append(FigureJob("", strong_a, "outage", tuple(LINKS),
                               ("analytical", "asymptotic", "mc")))
 
     elif fig_id == "fig6b":
         cfg = moderate_b.replaced("access", m=3.0, n_tx=5)
-        jobs.append(FigureJob("m3nt5", cfg, "outage", ALL_LINKS,
+        jobs.append(FigureJob("m3nt5", cfg, "outage", tuple(LINKS),
                               ("analytical", "asymptotic", "mc")))
         for m, nt in ((2.0, 3), (2.0, 2)):
             extra = moderate_b.replaced("access", m=m, n_tx=nt)
@@ -83,7 +81,7 @@ def figure_jobs(fig_id: str) -> list:
         # same math, shifted sweep range.
         sweep = tuple(np.linspace(0.0, 40.0, 15))
         for label, cfg in (("str_a", strong_a), ("mod_b", moderate_b)):
-            jobs.append(FigureJob(f"uplink_{label}", cfg, "outage", ALL_LINKS,
+            jobs.append(FigureJob(f"uplink_{label}", cfg, "outage", tuple(LINKS),
                                   ("analytical",), sweep_values=sweep))
 
     elif fig_id == "fig8":
@@ -105,7 +103,7 @@ def figure_jobs(fig_id: str) -> list:
         for m, nt in ((2.0, 3), (3.0, 6)):
             cfg = base.replaced("access", m=m, n_tx=nt).replaced(
                 "sweep", axis="length_m", start=50.0, stop=500.0, steps=10)
-            jobs.append(FigureJob(f"m{m:g}nt{nt}", cfg, "outage", ALL_LINKS,
+            jobs.append(FigureJob(f"m{m:g}nt{nt}", cfg, "outage", tuple(LINKS),
                                   ("analytical",), sweep_values=sweep))
 
     elif fig_id == "fig10":

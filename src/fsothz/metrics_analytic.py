@@ -21,18 +21,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
 
 from . import channel_access, channel_fso, channel_thz, specfun
 from .errors import DomainError, MeijerGUnsupportedError
-from .switching import (SwitchPolicy, activation_threshold,
-                        soft_combined_outage, soft_fso_off_probability)
+from .switching import (SwitchPolicy, soft_combined_outage,
+                        soft_fso_off_probability)
 
 __all__ = [
     "Modulation",
     "SystemSpec",
+    "Link",
+    "LINKS",
     "DiversityOrders",
     "outage_fso",
     "outage_thz",
@@ -208,6 +211,81 @@ class SystemSpec:
         return SystemSpec(self.fso, self.thz, self.access, self.policy,
                           self.gamma_r_th, transmit_snr_db)
 
+    def threshold(self, hop: str) -> float:
+        """SNR at or above which ``hop`` serves: the upper FSO or the THz
+        threshold of the policy's soft form, or the access threshold."""
+        soft = self.policy.as_soft()
+        value = {"fso": soft.gamma_f_th_u, "thz": soft.gamma_t_th,
+                 "access": self.gamma_r_th}.get(hop)
+        if value is None:
+            raise DomainError(f"{hop!r} is not a hop: fso, thz or access")
+        return value
+
+
+class Link(NamedTuple):
+    """A row of :data:`LINKS`: the hops a link composes and its metrics."""
+
+    hops: tuple
+    outage: Callable[[SystemSpec], KernelValue]
+    capacity: Callable[[SystemSpec], KernelValue]
+    aber: Callable[[SystemSpec, Modulation], KernelValue]
+    asymptotic: Callable[[SystemSpec], float]
+
+
+class _LinkTable(dict):
+    """Link name to :class:`Link`, refusing an unknown name; the entries name
+    their kernels when called, so a kernel patched here is the one that runs."""
+
+    def __missing__(self, link: str):
+        raise DomainError(f"unknown link {link!r}")
+
+
+# the five links in CSV order; a single hop is its kernels at its threshold
+LINKS = _LinkTable(
+    fso=Link(("fso",), lambda s: _fso_off(s),
+             lambda s: capacity_fso(s.threshold("fso"), s),
+             lambda s, mod: aber_fso(s.threshold("fso"), s, mod),
+             lambda s: _asymptotic_fso_off(s)),
+    thz=Link(("thz",), lambda s: outage_thz(s.threshold("thz"), s),
+             lambda s: capacity_thz(s.threshold("thz"), s),
+             lambda s, mod: aber_thz(s.threshold("thz"), s, mod),
+             lambda s: asymptotic_cdf_thz(s.threshold("thz"), s.thz,
+                                          s.transmit_snr_db)),
+    hybrid=Link(("fso", "thz"), lambda s: outage_hybrid(s),
+                lambda s: capacity_hybrid(s), lambda s, mod: aber_hybrid(s, mod),
+                lambda s: (asymptotic_outage(s, "fso")
+                           * asymptotic_outage(s, "thz"))),
+    access=Link(("access",), lambda s: outage_access(s.threshold("access"), s),
+                lambda s: capacity_access(s.threshold("access"), s),
+                lambda s, mod: aber_access(s.threshold("access"), s, mod),
+                lambda s: asymptotic_cdf_access(s.threshold("access"),
+                                                s.access, s.transmit_snr_db)),
+    e2e=Link(("fso", "thz", "access"), lambda s: outage_e2e(s),
+             lambda s: capacity_e2e(s), lambda s, mod: aber_e2e(s, mod),
+             lambda s: (asymptotic_outage(s, "hybrid")
+                        + asymptotic_outage(s, "access"))),
+)
+
+
+def outage_link(spec: SystemSpec, link: str) -> KernelValue:
+    """Outage of ``link`` under the configured policy."""
+    return LINKS[link].outage(spec)
+
+
+def capacity_link(spec: SystemSpec, link: str) -> KernelValue:
+    """Ergodic capacity of ``link`` under the configured policy."""
+    return LINKS[link].capacity(spec)
+
+
+def aber_link(spec: SystemSpec, mod: Modulation, link: str) -> KernelValue:
+    """ABER of ``link`` under the configured policy."""
+    return LINKS[link].aber(spec, mod)
+
+
+def asymptotic_outage(spec: SystemSpec, link: str = "e2e") -> float:
+    """High-SNR outage of ``link`` from the CDFs of only the hops it composes."""
+    return LINKS[link].asymptotic(spec)
+
 
 def _merge(value: float, *parts: KernelValue) -> KernelValue:
     """``value`` with the union of the parts' flags; a part's flag set is
@@ -223,86 +301,42 @@ def _merge(value: float, *parts: KernelValue) -> KernelValue:
 # Outage
 # ---------------------------------------------------------------------------
 
-def outage_fso(spec: SystemSpec, gamma_th: float) -> KernelValue:
+def outage_fso(gamma_th: float, spec: SystemSpec) -> KernelValue:
     return channel_fso.fso_snr_cdf(gamma_th, spec.fso, spec.transmit_snr_db)
 
 
-def outage_thz(spec: SystemSpec, gamma_th: float) -> KernelValue:
+def outage_thz(gamma_th: float, spec: SystemSpec) -> KernelValue:
     return channel_thz.thz_snr_cdf(gamma_th, spec.thz, spec.transmit_snr_db)
 
 
-def outage_access(spec: SystemSpec) -> KernelValue:
+def outage_access(gamma_th: float, spec: SystemSpec) -> KernelValue:
     return KernelValue(channel_access.access_snr_cdf(
-        spec.gamma_r_th, spec.access, spec.transmit_snr_db))
+        gamma_th, spec.access, spec.transmit_snr_db))
 
 
 def _fso_cdfs(spec: SystemSpec):
     """(soft form of the policy, F_F(gamma_u), F_F(gamma_l)); one CDF
     serves both where the thresholds coincide, as under hard switching."""
     pol = spec.policy.as_soft()
-    fu = outage_fso(spec, pol.gamma_f_th_u)
+    fu = outage_fso(pol.gamma_f_th_u, spec)
     fl = (fu if pol.gamma_f_th_l == pol.gamma_f_th_u
-          else outage_fso(spec, pol.gamma_f_th_l))
+          else outage_fso(pol.gamma_f_th_l, spec))
     return pol, fu, fl
+
+
+def _fso_off(spec: SystemSpec) -> KernelValue:
+    """FSO link outage, the hybrid outage with the THz side never on: under
+    soft switching the hysteresis off-probability the trace estimator counts."""
+    pol, fu, fl = _fso_cdfs(spec)
+    return _merge(soft_combined_outage(pol, fu.value, fl.value, 1.0), fu, fl)
 
 
 def outage_hybrid(spec: SystemSpec) -> KernelValue:
     """Hybrid FSO/THz outage under the configured switching policy."""
     pol, fu, fl = _fso_cdfs(spec)
-    ft = outage_thz(spec, pol.gamma_t_th)
+    ft = outage_thz(pol.gamma_t_th, spec)
     return _merge(soft_combined_outage(pol, fu.value, fl.value, ft.value),
                   fu, fl, ft)
-
-
-def outage_link(spec: SystemSpec, link: str) -> KernelValue:
-    """Per-link outage under the configured policy.
-
-    Under soft switching the FSO figure is the hysteresis off-probability
-    (not a plain CDF), matching what the trace estimator measures.
-    """
-    if link == "fso":
-        _, fu, fl = _fso_cdfs(spec)
-        return _merge(soft_fso_off_probability(
-            fl.value, fu.value - fl.value, 1.0 - fu.value), fu, fl)
-    if link == "thz":
-        return outage_thz(spec, activation_threshold(spec.policy, link))
-    if link == "access":
-        return outage_access(spec)
-    if link == "hybrid":
-        return outage_hybrid(spec)
-    if link == "e2e":
-        return outage_e2e(spec)
-    raise DomainError(f"unknown link {link!r}")
-
-
-def capacity_link(spec: SystemSpec, link: str) -> KernelValue:
-    """Per-link ergodic capacity at the policy's activation threshold."""
-    if link == "fso":
-        return capacity_fso(activation_threshold(spec.policy, link), spec)
-    if link == "thz":
-        return capacity_thz(activation_threshold(spec.policy, link), spec)
-    if link == "access":
-        return capacity_access(spec.gamma_r_th, spec)
-    if link == "hybrid":
-        return capacity_hybrid(spec)
-    if link == "e2e":
-        return capacity_e2e(spec)
-    raise DomainError(f"unknown link {link!r}")
-
-
-def aber_link(spec: SystemSpec, mod: "Modulation", link: str) -> KernelValue:
-    """Per-link ABER at the policy's activation threshold."""
-    if link == "fso":
-        return aber_fso(activation_threshold(spec.policy, link), spec, mod)
-    if link == "thz":
-        return aber_thz(activation_threshold(spec.policy, link), spec, mod)
-    if link == "access":
-        return aber_access(spec.gamma_r_th, spec, mod)
-    if link == "hybrid":
-        return aber_hybrid(spec, mod)
-    if link == "e2e":
-        return aber_e2e(spec, mod)
-    raise DomainError(f"unknown link {link!r}")
 
 
 def outage_e2e(spec: SystemSpec) -> KernelValue:
@@ -312,7 +346,7 @@ def outage_e2e(spec: SystemSpec) -> KernelValue:
     the high-SNR tail where the factored form would round to zero.
     """
     hyb = outage_hybrid(spec)
-    acc = outage_access(spec)
+    acc = outage_access(spec.threshold("access"), spec)
     value = hyb.value + acc.value - hyb.value * acc.value
     return _merge(value, hyb, acc)
 
@@ -361,16 +395,9 @@ def asymptotic_cdf_access(gamma: float, access: channel_access.AccessLinkSpec,
     return math.exp(k * math.log(x) - math.lgamma(k + 1.0))
 
 
-def asymptotic_outage(spec: SystemSpec, link: str = "e2e") -> float:
-    """High-SNR outage approximation for a link or the E2E composition,
-    from the asymptotic CDFs of only the links that ``link`` composes."""
+def _asymptotic_fso_off(spec: SystemSpec) -> float:
+    """High-SNR outage of the FSO link: :func:`_fso_off` on asymptotic CDFs."""
     pol, snr = spec.policy.as_soft(), spec.transmit_snr_db
-    if link == "access":
-        return asymptotic_cdf_access(spec.gamma_r_th, spec.access, snr)
-    if link == "thz":
-        return asymptotic_cdf_thz(pol.gamma_t_th, spec.thz, snr)
-    if link not in ("fso", "hybrid", "e2e"):
-        raise DomainError(f"unknown link {link!r}")
     # coincident thresholds give A itself, not A / (A + (1 - A)): out of the
     # high-SNR regime A runs far above 1, where that ratio loses A's digits
     # or divides by zero
@@ -378,12 +405,7 @@ def asymptotic_outage(spec: SystemSpec, link: str = "e2e") -> float:
     if pol.gamma_f_th_l != pol.gamma_f_th_u:
         p_low = asymptotic_cdf_fso(pol.gamma_f_th_l, spec.fso, snr)
         f_fso = p_low / (p_low + (1.0 - f_fso))
-    if link == "fso":
-        return f_fso
-    f_hyb = f_fso * asymptotic_outage(spec, "thz")
-    if link == "hybrid":
-        return f_hyb
-    return f_hyb + asymptotic_outage(spec, "access")
+    return f_fso
 
 
 @dataclass(frozen=True)
@@ -396,16 +418,12 @@ class DiversityOrders:
 
 
 def diversity_order(spec: SystemSpec) -> DiversityOrders:
-    """min-rule diversity orders of every link and the E2E composition."""
-    tau = spec.fso.detection_tau
-    xi2_f = spec.fso.pointing.xi ** 2
-    d_fso = min(xi2_f / tau, spec.fso.alpha_f / tau, spec.fso.beta_f / tau)
-    xi2_t = spec.thz.xi_t ** 2
-    anrmu = spec.thz.alpha * spec.thz.n_rx * spec.thz.mu
-    d_thz = min(xi2_t / 2.0, anrmu / 2.0)
-    fso_terms = (xi2_f / tau, spec.fso.alpha_f / tau, spec.fso.beta_f / tau)
-    thz_terms = (xi2_t / 2.0, anrmu / 2.0)
-    d_hyb = min(f + t for f in fso_terms for t in thz_terms)
+    """min-rule diversity orders of every link and the E2E composition; the
+    hybrid order, the least sum of an FSO and a THz term, is their sum."""
+    fso, thz = spec.fso, spec.thz
+    d_fso = min(fso.pointing.xi ** 2, fso.alpha_f, fso.beta_f) / fso.detection_tau
+    d_thz = min(thz.xi_t ** 2, thz.alpha * thz.n_rx * thz.mu) / 2.0
+    d_hyb = d_fso + d_thz
     d_acc = spec.access.shape
     return DiversityOrders(d_fso, d_thz, d_hyb, d_acc, min(d_hyb, d_acc))
 
@@ -628,7 +646,7 @@ def capacity_hybrid(spec: SystemSpec) -> KernelValue:
 def capacity_e2e(spec: SystemSpec) -> KernelValue:
     """End-to-end capacity: min of the backhaul and access ergodic capacities."""
     hyb = capacity_hybrid(spec)
-    acc = capacity_access(spec.gamma_r_th, spec)
+    acc = capacity_access(spec.threshold("access"), spec)
     return _merge(min(hyb.value, acc.value), hyb, acc)
 
 
@@ -785,5 +803,6 @@ def aber_hybrid(spec: SystemSpec, mod: Modulation) -> KernelValue:
 def aber_e2e(spec: SystemSpec, mod: Modulation) -> KernelValue:
     """End-to-end ABER: independent bit-flip composition of the two hops."""
     b1 = aber_hybrid(spec, mod)
-    b2 = aber_access(spec.gamma_r_th, spec, mod)
+    b2 = aber_access(spec.threshold("access"), spec, mod)
     return _merge(b1.value + b2.value - 2.0 * b1.value * b2.value, b1, b2)
+

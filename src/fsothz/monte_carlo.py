@@ -16,11 +16,12 @@ given (seed, partitioning) regardless of execution order or parallelism.
 
 Substream layout: block ``i`` of ``BLOCK_SIZE`` slots draws from
 ``RngStream(seed, i)`` the FSO, then the THz, then the access SNRs, each
-only if the requested link needs it.  Soft policies on the hybrid and e2e
-links (and on the FSO link for outage) instead run the hysteresis trace over
-``TRACE_BURN_IN`` + n slots, carry its memory bit across blocks, and discard
-the first ``TRACE_BURN_IN`` slots; the e2e access SNRs of trace block ``i``
-come from ``RngStream(seed, 1_000_000 + i)``.
+only if the link's hop set (``metrics_analytic.LINKS``) holds that hop.
+Soft policies on links composing both backhaul hops (and on the FSO link for
+outage) instead run the hysteresis trace over ``TRACE_BURN_IN`` + n slots,
+carry its memory bit across blocks, and discard the first ``TRACE_BURN_IN``
+slots; the access SNRs of trace block ``i``, if the link composes the access
+hop, come from ``RngStream(seed, 1_000_000 + i)``.
 
 Correlated traces (rho > 0) run one standard-normal AR(1) driver per random
 factor, filtered exactly in Toeplitz blocks (``_ar1_filter``), and map each
@@ -49,7 +50,7 @@ from .channel_access import AccessLinkSpec
 from .channel_fso import FsoLinkSpec, PointingGeometry
 from .channel_thz import ThzLinkSpec
 from .errors import DomainError
-from .metrics_analytic import Modulation, SystemSpec, _xi_factor
+from .metrics_analytic import LINKS, Modulation, SystemSpec, _xi_factor
 from .switching import SoftPolicy, SwitchState, evaluate_soft_trace
 
 __all__ = [
@@ -67,8 +68,6 @@ __all__ = [
 
 MIN_SAMPLES = 10_000
 BLOCK_SIZE = 1 << 20
-
-LINKS = ("fso", "thz", "hybrid", "access", "e2e")
 
 # Trace burn-in discarded before steady-state tallies.
 TRACE_BURN_IN = 1000
@@ -140,8 +139,7 @@ def _check_args(n: int, link: str) -> None:
         raise DomainError(
             f"sample count {n} too small for a meaningful estimate; "
             f"need at least {MIN_SAMPLES}")
-    if link not in LINKS:
-        raise DomainError(f"unknown link {link!r}")
+    LINKS[link]  # refuses an unknown link
 
 
 def _pointing_gain(pg: PointingGeometry, rng: np.random.Generator,
@@ -321,19 +319,20 @@ def _slot_blocks(spec: SystemSpec, n: int, seed: int, link: str,
                  fso_hysteresis: bool = False):
     """Yield (gamma_F, gamma_T, gamma_R, states) per block for ``link``.
 
-    Only the SNRs ``link`` needs are drawn; the others are None.  ``states``
-    codes the side serving each slot (0 = FSO, 1 = THz, 2 = none) and is
-    None for the access link alone.  Soft policies on the hybrid and e2e
-    links, and on the FSO link when ``fso_hysteresis`` is set, run the
-    hysteresis trace; everything else is memoryless, with hard hybrid
-    states taken from the trace of the coincident-threshold soft policy.
+    Only the SNRs of the hops ``link`` composes are drawn; the others are
+    None.  ``states`` codes the side serving each slot (0 = FSO, 1 = THz,
+    2 = none) and is None for the access hop alone.  Soft policies on links
+    composing both backhaul hops, and on the FSO link when ``fso_hysteresis``
+    is set, run the hysteresis trace; the rest is memoryless, with hard
+    hybrid states from the trace of the coincident-threshold soft policy.
     The policy's type, not its thresholds, selects the substream layout.
     """
     policy = spec.policy
     soft = policy.as_soft()
     snr_db = spec.transmit_snr_db
-    if isinstance(policy, SoftPolicy) and (
-            link in ("hybrid", "e2e") or (link == "fso" and fso_hysteresis)):
+    hops = LINKS[link].hops
+    if isinstance(policy, SoftPolicy) and "fso" in hops and (
+            "thz" in hops or fso_hysteresis):
         memory = SwitchState()
         chunks = _snr_chunk_iter(spec, n + TRACE_BURN_IN, 0.0, RngStream(seed))
         for index, (gf, gt) in enumerate(chunks):
@@ -341,7 +340,7 @@ def _slot_blocks(spec: SystemSpec, n: int, seed: int, link: str,
             # FSO serves a slot exactly when the memory bit after it is clear
             memory = SwitchState(fso_was_below_lower=bool(states[-1] != 0))
             gr = None
-            if link == "e2e":
+            if "access" in hops:
                 rng = RngStream(seed, 1_000_000 + index).generator()
                 gr = sample_access_snr(spec.access, snr_db, rng, states.size)
             if index == 0:
@@ -353,18 +352,18 @@ def _slot_blocks(spec: SystemSpec, n: int, seed: int, link: str,
     for index, size in _iter_blocks(n):
         rng = RngStream(seed, index).generator()
         gf = gt = gr = states = None
-        if link in ("fso", "hybrid", "e2e"):
+        if "fso" in hops:
             gf = sample_fso_snr(spec.fso, snr_db, rng, size)
-        if link in ("thz", "hybrid", "e2e"):
+        if "thz" in hops:
             gt = sample_thz_snr(spec.thz, snr_db, rng, size)
-        if link in ("access", "e2e"):
+        if "access" in hops:
             gr = sample_access_snr(spec.access, snr_db, rng, size)
-        if link == "fso":
-            states = np.where(gf >= soft.gamma_f_th_u, 0, 2)
-        elif link == "thz":
-            states = np.where(gt >= soft.gamma_t_th, 1, 2)
-        elif link != "access":
+        if gf is not None and gt is not None:
             states = evaluate_soft_trace(gf, gt, soft)
+        elif gf is not None:
+            states = np.where(gf >= spec.threshold("fso"), 0, 2)
+        elif gt is not None:
+            states = np.where(gt >= spec.threshold("thz"), 1, 2)
         yield gf, gt, gr, states
 
 
@@ -381,7 +380,7 @@ def estimate_outage(spec: SystemSpec, n: int, seed: int,
     events = total = 0
     for _, _, gr, states in _slot_blocks(spec, n, seed, link,
                                          fso_hysteresis=True):
-        fail = False if gr is None else gr < spec.gamma_r_th
+        fail = False if gr is None else gr < spec.threshold("access")
         if states is not None:
             fail = fail | (states != 0 if link == "fso" else states == 2)
         events += int(np.count_nonzero(fail))
@@ -400,7 +399,7 @@ def _served_sums(spec: SystemSpec, n: int, seed: int, link: str,
     count = sent = 0
     for gf, gt, gr, states in _slot_blocks(spec, n, seed, link):
         if states is None:
-            on = gr >= spec.gamma_r_th
+            on = gr >= spec.threshold("access")
             vals = np.where(on, f_rf(gr), 0.0)
         else:
             on = states != 2

@@ -24,7 +24,6 @@ __all__ = [
     "HardPolicy",
     "SoftPolicy",
     "SwitchPolicy",
-    "activation_threshold",
     "ActiveLink",
     "SwitchState",
     "SwitchCounts",
@@ -76,15 +75,6 @@ class SoftPolicy:
 
 
 SwitchPolicy = Union[HardPolicy, SoftPolicy]
-
-
-def activation_threshold(policy: SwitchPolicy, link: str) -> float:
-    """SNR at or above which ``link`` ("fso" or "thz") is switched on: the
-    upper FSO threshold or the THz threshold of the policy's soft form."""
-    if link not in ("fso", "thz"):
-        raise DomainError(f"no activation threshold for link {link!r}")
-    soft = policy.as_soft()
-    return soft.gamma_f_th_u if link == "fso" else soft.gamma_t_th
 
 
 class ActiveLink(enum.Enum):

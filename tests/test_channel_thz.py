@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 from scipy import special as sp
 
+from fsothz import figures
 from fsothz.channel_thz import (SPEED_OF_LIGHT, ThzEnvironment, ThzLinkSpec,
                                 absorption_total, default_rx_radius_m,
                                 thz_ceiling_rule, thz_path_gain, thz_snr_cdf,
@@ -291,3 +292,46 @@ class TestCeilingRule:
             thz_snr_survival(-1.0, spec, SNR_DB)
         with pytest.raises(DomainError):
             thz_ceiling_rule(1.0, 0.0, spec, SNR_DB)
+
+
+def _mpmath_density(gamma, spec, snr_db):
+    """THz SNR density at 40 digits from the mixture it is: with Y ~
+    Gamma(n), n = N_r mu, and s = gamma_bar (A0 Omega)^2, the ceiling is
+    s (Y / n)^(2 / alpha) and the pointing law (g / ceiling)^(xi^2 / 2), so
+        f(g) = (xi^2 / 2) g^(xi^2/2 - 1) s^(-xi^2/2) n^(xi^2/alpha)
+               Gamma(n - xi^2 / alpha, n (g / s)^(alpha/2)) / Gamma(n)."""
+    with mpmath.workdps(40):
+        xi2 = mpmath.mpf(spec.xi_t) ** 2
+        alpha = mpmath.mpf(spec.alpha)
+        n = spec.n_rx * mpmath.mpf(spec.mu)
+        s = (mpmath.mpf(spec.gamma_bar(snr_db))
+             * (mpmath.mpf(spec.a0_t) * spec.omega) ** 2)
+        g = mpmath.mpf(gamma)
+        tail = mpmath.gammainc(n - xi2 / alpha, n * (g / s) ** (alpha / 2))
+        return (xi2 / 2 * g ** (xi2 / 2 - 1) * s ** (-xi2 / 2)
+                * n ** (xi2 / alpha) * tail / mpmath.gamma(n))
+
+
+class TestPdfUpperTail:
+    """thz_snr_pdf against mpmath where Gamma(C2, x) has C2 < 0 and x >= 1.
+
+    There the downward recurrence of ``upper_incomplete_gamma`` cancels:
+    9 of these 18 points were off by more than 1e-9, and fig14b str_a at
+    15 dB and gamma = 10^0.5 came out 0 against 2.81e-261.
+    """
+
+    def test_fig14b_links_match_mpmath(self):
+        jobs = {j.label: j for j in figures.figure_jobs("fig14b")}
+        compared = 0
+        for label in ("str_a", "mod_b"):
+            for snr in (0.0, 15.0, 20.0, 40.0):
+                spec = jobs[label].config.with_sweep_value(snr).system_spec().thz
+                assert spec.c2 < 0.0
+                for gamma in (0.1, 10.0 ** 0.5, 30.0, 100.0):
+                    want = _mpmath_density(gamma, spec, snr)
+                    if want < mpmath.mpf("1e-300"):
+                        continue  # below the double range
+                    compared += 1
+                    assert thz_snr_pdf(gamma, spec, snr).value == pytest.approx(
+                        float(want), rel=1e-9, abs=0.0), (label, snr, gamma)
+        assert compared == 18

@@ -258,7 +258,7 @@ class TestRunCommand:
                     == [r[1:] for r in _parse_csv(hard)])
         twin = swept.with_sweep_value(0.0).system_spec()
         spec = cfg.system_spec()
-        for link in cli.LINKS:
+        for link in ma.LINKS:
             assert ma.outage_link(twin, link) == ma.outage_link(spec, link)
             assert (ma.asymptotic_outage(twin, link)
                     == ma.asymptotic_outage(spec, link))

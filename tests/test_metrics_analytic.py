@@ -6,15 +6,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 import fsothz.metrics_analytic as ma
-from fsothz import channel_fso, figures, specfun
+import fsothz.monte_carlo as mc
+from fsothz import channel_fso, cli, figures, specfun
+from fsothz.config import bundled_config_path, load_config
 from fsothz.channel_access import access_snr_pdf
 from fsothz.channel_fso import fso_snr_pdf
 from fsothz.channel_thz import thz_snr_pdf
 from fsothz.errors import DomainError
-from fsothz.switching import HardPolicy, SoftPolicy, activation_threshold
+from fsothz.switching import HardPolicy, SoftPolicy
 
 from conftest import GTH_5DB, access_spec, soft_policy, system_spec
 
@@ -83,7 +87,7 @@ class TestOutageCompositions:
     def test_soft_thz_threshold_to_zero_leaves_access(self):
         pol = SoftPolicy(GTH_5DB, GTH_5DB, 1e-12)
         spec = system_spec(policy=pol)
-        acc = ma.outage_access(spec).value
+        acc = ma.outage_access(spec.threshold("access"), spec).value
         assert ma.outage_e2e(spec).value == pytest.approx(acc, rel=1e-6)
 
 
@@ -148,8 +152,7 @@ class TestAsymptotics:
             f_fso = p_low / (p_low + p_hig)
         else:
             f_fso = cdfs["fso"](spec.policy.gamma_th, spec.fso, 50.0)
-        f_thz = cdfs["thz"](activation_threshold(spec.policy, "thz"),
-                            spec.thz, 50.0)
+        f_thz = cdfs["thz"](spec.threshold("thz"), spec.thz, 50.0)
         f_acc = cdfs["access"](spec.gamma_r_th, spec.access, 50.0)
         want = {"fso": f_fso, "thz": f_thz, "hybrid": f_fso * f_thz,
                 "access": f_acc, "e2e": f_fso * f_thz + f_acc}
@@ -452,9 +455,12 @@ class TestAber:
         assert ma.aber_e2e(spec, mod).value == pytest.approx(
             b1 + b2 - 2.0 * b1 * b2, rel=1e-12)
 
-    def test_e2e_absorbing_half(self):
+    def test_e2e_absorbing_half(self, monkeypatch):
         # B1 = B2 = 1/2 is a fixed point of the composition
-        assert 0.5 + 0.5 - 2.0 * 0.25 == 0.5
+        half = lambda *args: specfun.KernelValue(0.5)
+        monkeypatch.setattr(ma, "aber_hybrid", half)
+        monkeypatch.setattr(ma, "aber_access", half)
+        assert ma.aber_e2e(system_spec(), Modulation.bpsk()).value == 0.5
 
     def test_hybrid_conditional_normalization(self):
         spec = system_spec(snr_db=30.0)
@@ -547,7 +553,7 @@ class TestFsoAberKernel:
                 spec = job.config.with_sweep_value(snr).system_spec()
                 for gamma_th in _policy_thresholds(spec.policy):
                     ma.aber_fso(gamma_th, spec, mod)
-                    ma.outage_fso(spec, gamma_th)
+                    ma.outage_fso(gamma_th, spec)
         assert calls["contour"] == 0
         # the counter is live: a logarithmic pole layout takes the contour
         specfun.meijer_g(specfun.MeijerGSpec((0.5,), (), (0.0, 1.0), (), 2.0))
@@ -580,7 +586,7 @@ class TestThzAberKernel:
         job = {j.label: j for j in figures.figure_jobs(fig_id)}[label]
         mod = job.modulation or job.config.modulation
         for spec, snr in _preset_points(fig_id, label):
-            gamma_t = activation_threshold(spec.policy, "thz")
+            gamma_t = spec.threshold("thz")
             for gamma_th in (gamma_t, 0.0) if snr in (0, 35, 70) else (gamma_t,):
                 got = ma.aber_thz(gamma_th, spec, mod)
                 assert got.value == pytest.approx(
@@ -618,7 +624,7 @@ class TestCapacityKernel:
         fn, oracle = {"fso": (ma.capacity_fso, _fso_capacity_oracle),
                       "thz": (ma.capacity_thz, _thz_capacity_oracle)}[link]
         for spec, snr in _preset_points(fig_id, label):
-            gamma = activation_threshold(spec.policy, link)
+            gamma = spec.threshold(link)
             for gamma_th in (gamma, 0.0) if snr in (0, 35, 70) else (gamma,):
                 got = fn(gamma_th, spec)
                 assert got.value == pytest.approx(
@@ -885,3 +891,90 @@ class TestAccessPositiveForms:
                        2.0 * spec.access.gamma_bar_r(30.0))
         ma.capacity_fso(GTH_5DB, spec, closed_form_only=True)
         assert calls["quad"] > 0 and calls["meijer_g"] > 0
+
+
+class TestLinkTable:
+    """ma.LINKS: which hops each link composes, and one refusal of an
+    unknown link for every dispatcher and estimator."""
+
+    def test_links_in_csv_order_with_their_hops(self):
+        assert {name: row.hops for name, row in ma.LINKS.items()} == {
+            "fso": ("fso",), "thz": ("thz",), "hybrid": ("fso", "thz"),
+            "access": ("access",), "e2e": ("fso", "thz", "access")}
+        assert tuple(ma.LINKS) == ("fso", "thz", "hybrid", "access", "e2e")
+
+    def test_unknown_link_rejected_everywhere(self):
+        spec = system_spec()
+        bpsk = Modulation.bpsk()
+        n = mc.MIN_SAMPLES
+        calls = (lambda: ma.outage_link(spec, "wifi"),
+                 lambda: ma.capacity_link(spec, "wifi"),
+                 lambda: ma.aber_link(spec, bpsk, "wifi"),
+                 lambda: ma.asymptotic_outage(spec, "wifi"),
+                 lambda: mc.estimate_outage(spec, n, 1, "wifi"),
+                 lambda: mc.estimate_capacity(spec, n, 1, "wifi"),
+                 lambda: mc.estimate_aber(spec, bpsk, n, 1, "wifi"))
+        for call in calls:
+            with pytest.raises(DomainError, match="unknown link 'wifi'"):
+                call()
+
+    def test_threshold_of_each_hop(self):
+        hard = system_spec()
+        soft = system_spec(policy=soft_policy())
+        assert (hard.threshold("fso"), hard.threshold("thz"),
+                hard.threshold("access")) == (GTH_5DB, GTH_5DB, GTH_5DB)
+        assert soft.threshold("fso") == soft.policy.gamma_f_th_u
+        assert soft.threshold("thz") == soft.policy.gamma_t_th
+        assert soft.threshold("access") == soft.gamma_r_th
+        for name in ("hybrid", "e2e", "wifi"):
+            with pytest.raises(DomainError, match="not a hop"):
+                hard.threshold(name)
+
+    def test_cli_and_figures_iterate_the_table(self):
+        cfg = load_config(bundled_config_path("default"))
+        rows = cli._diversity_rows(cfg)
+        assert [r[1] for r in rows] == [f"diversity:{x}" for x in ma.LINKS]
+        rows = cli._run_payloads(cli._sweep_payloads(
+            cfg, "outage", ("analytical",), tuple(ma.LINKS), 1, 10_000), 1)
+        assert {r[1] for r in rows} == {f"outage:{x}" for x in ma.LINKS}
+        job, = figures.figure_jobs("fig6a")
+        assert job.links == tuple(ma.LINKS)
+
+
+_REFERENCE = system_spec()
+
+
+class TestLinkProperties:
+    """Every link of ma.LINKS on the reference spec, at 0-70 dB and soft
+    FSO thresholds 5 dB +- eps, eps in 0-3 dB."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(link=st.sampled_from(tuple(ma.LINKS)),
+           snr_a=st.floats(0.0, 70.0), snr_b=st.floats(0.0, 70.0),
+           eps=st.floats(0.0, 3.0))
+    def test_ranges_monotonicity_and_hard_soft_identity(self, link, snr_a,
+                                                        snr_b, eps):
+        bpsk = Modulation.bpsk()
+        g = GTH_5DB
+        soft = SoftPolicy(g * 10.0 ** (eps / 10.0), g * 10.0 ** (-eps / 10.0), g)
+        for policy in (_REFERENCE.policy, soft):
+            outages = []
+            for snr in sorted((snr_a, snr_b)):
+                spec = dataclasses.replace(_REFERENCE.at_snr(snr),
+                                           policy=policy)
+                outages.append(ma.outage_link(spec, link).value)
+                assert 0.0 <= outages[-1] <= 1.0
+                capacity = ma.capacity_link(spec, link).value
+                assert 0.0 <= capacity < math.inf
+                aber = ma.aber_link(spec, bpsk, link).value
+                assert 0.0 <= aber <= bpsk.a * bpsk.n0
+            assert outages[1] <= outages[0]
+        for snr in (snr_a, snr_b):
+            hard = _REFERENCE.at_snr(snr)
+            twin = dataclasses.replace(hard, policy=SoftPolicy(g, g, g))
+            assert ma.outage_link(twin, link) == ma.outage_link(hard, link)
+            assert ma.capacity_link(twin, link) == ma.capacity_link(hard, link)
+            assert (ma.aber_link(twin, bpsk, link)
+                    == ma.aber_link(hard, bpsk, link))
+            assert (ma.asymptotic_outage(twin, link)
+                    == ma.asymptotic_outage(hard, link))

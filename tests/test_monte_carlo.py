@@ -246,7 +246,7 @@ class TestEstimators:
 
     def test_estimate_result_invariants(self):
         spec = system_spec(snr_db=25.0)
-        for link in mc.LINKS:
+        for link in ma.LINKS:
             est = mc.estimate_outage(spec, 50_000, 31, link)
             assert est.ci_lo <= est.value <= est.ci_hi
             assert est.n_samples >= 50_000

@@ -14,7 +14,6 @@ from fsothz import metrics_analytic as ma
 from fsothz.errors import DomainError, MeijerGUnsupportedError
 from fsothz.figures import FIGURE_IDS, figure_jobs
 from fsothz.specfun import MeijerGSpec, meijer_g, meijer_g_contour, meijer_g_residue
-from fsothz.switching import activation_threshold
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -287,10 +286,8 @@ def fig14a_printed_calls():
         mp.setattr(specfun, "igamma_reduction_log", recorded_reduction)
         for value in job.config.sweep.values():
             spec = job.config.with_sweep_value(float(value)).system_spec()
-            ma._printed_capacity_fso(activation_threshold(spec.policy, "fso"),
-                                     spec)
-            ma._printed_capacity_thz(activation_threshold(spec.policy, "thz"),
-                                     spec)
+            ma._printed_capacity_fso(spec.threshold("fso"), spec)
+            ma._printed_capacity_thz(spec.threshold("thz"), spec)
     return specs, reductions
 
 
